@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo CI gate: formatting, release build, full test suite, clippy with
-# warnings denied, rustdoc with warnings denied.
+# Repo CI gate: formatting, release build, the test suite of every
+# workspace member, clippy with warnings denied on every target (tests,
+# benches and examples included), rustdoc with warnings denied.
 # Run from the repository root. Offline by design (deps are vendored).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -14,8 +15,8 @@ FIRST_PARTY=(-p skipit -p skipit-core -p skipit-boom -p skipit-dcache -p skipit-
 
 cargo fmt --check "${FIRST_PARTY[@]}"
 cargo build --release
-cargo test -q
-cargo clippy -- -D warnings
+cargo test --workspace -q
+cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 
 # `ci.sh --quick` additionally:

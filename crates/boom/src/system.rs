@@ -1,11 +1,10 @@
 //! The cycle-stepped multicore system: N BOOM-style cores with private L1
 //! data caches, a shared inclusive L2, and DRAM (the §7.1 platform).
 
-use crate::handle::{Cmd, CoreHandle, Resp};
+use crate::handle::{CoreHandle, Resp, Worker};
 use crate::lsu::{Lsu, LsuConfig};
 use crate::op::{Op, OpToken};
 use crate::workload::{CapturedOp, RunReport, TimedOp, Workload};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use skipit_dcache::{DataCache, L1Config, L1Stats};
 use skipit_llc::{InclusiveCache, L2Config, L2Ports, L2Stats};
 use skipit_mem::{Dram, DramConfig, MemStats};
@@ -15,6 +14,7 @@ use skipit_trace::{
     CoreCounters, StreamEvent, Telemetry, TelemetryCounters, TraceConfig, TraceEvent, TraceFilter,
     TraceSink,
 };
+use std::future::Future;
 
 /// Which simulation engine advances the clock. All engines produce
 /// bit-identical elapsed cycles, statistics, durable memory images and
@@ -238,7 +238,7 @@ struct TickPlan {
     l2: bool,
     /// Bitmask of cores (L1 + LSU pairs) to step.
     cores: u64,
-    /// Some frontend has an issue/rendezvous event due now.
+    /// Some frontend has an issue/poll event due now.
     frontend: bool,
     /// Minimum future event time across all components — the fast engine's
     /// jump target. Only meaningful when no gate fired; `None` means only
@@ -321,7 +321,7 @@ struct Wheel {
     /// Due cycle of each core's L1 + LSU slot.
     due_comp: Vec<u64>,
     /// Due cycle of each core's frontend (tracked separately so a
-    /// rendezvous-paced frontend does not force its whole core slot — and
+    /// poll-paced frontend does not force its whole core slot — and
     /// the L1 `next_event` walk that re-arms it — every executed cycle).
     due_fe: Vec<u64>,
     /// Reusable per-core scratch for the L2 phase's link-condition
@@ -641,9 +641,9 @@ enum Frontend {
         next: usize,
         nop_until: u64,
     },
+    /// Thread mode (see [`crate::workload::Threads`]): the worker future
+    /// itself lives in the run loop and is lent to each frontend step.
     Thread {
-        rx: Receiver<Cmd>,
-        tx: Sender<Resp>,
         busy: Option<OpToken>,
         nop_until: Option<u64>,
         finished: bool,
@@ -1234,6 +1234,12 @@ impl System {
 
     /// Advances the system by one cycle.
     pub fn tick(&mut self) {
+        self.tick_full(&mut []);
+    }
+
+    /// [`System::tick`] with the thread-mode workers of the running
+    /// [`crate::workload::Threads`] run (empty outside one).
+    fn tick_full(&mut self, workers: &mut [Worker<'_>]) {
         self.poll_telemetry();
         // A full sweep may step components the wheel believed idle, so its
         // due bounds are stale afterwards.
@@ -1261,7 +1267,7 @@ impl System {
             self.l1s[i].step(now, &mut ports);
             self.lsus[i].step(now, &mut self.l1s[i]);
         }
-        self.step_frontends();
+        self.step_frontends(workers);
         self.now += 1;
     }
 
@@ -1359,11 +1365,11 @@ impl System {
 
     /// Executes one cycle stepping only the components whose
     /// [`System::plan_tick`] gate fired. Frontends always run: they are
-    /// cheap, and a worker rendezvous must not be deferred. Produces exactly
+    /// cheap, and a worker poll must not be deferred. Produces exactly
     /// the state the full [`System::tick`] sweep would — skipped components
     /// have no due event, no consumable link head, and no freed output slot,
     /// so their step functions could only fall through.
-    fn tick_gated(&mut self, plan: &TickPlan) {
+    fn tick_gated(&mut self, plan: &TickPlan, workers: &mut [Worker<'_>]) {
         self.poll_telemetry();
         self.wheel.valid = false;
         self.engine.component_slots += 1 + self.cfg.cores as u64;
@@ -1393,7 +1399,7 @@ impl System {
                 self.lsus[i].step(now, &mut self.l1s[i]);
             }
         }
-        self.step_frontends();
+        self.step_frontends(workers);
         self.now += 1;
     }
 
@@ -1404,30 +1410,32 @@ impl System {
     /// trailing Nop's expiry are conditions on `now` (the naive engine
     /// observes every cycle; the fast engines must observe the jump target
     /// before executing it).
-    fn step_engine<F: Fn(&Self) -> bool>(&mut self, done: F) -> bool {
+    fn step_engine<F: Fn(&Self) -> bool>(&mut self, workers: &mut [Worker<'_>], done: F) -> bool {
         if done(self) {
             return true;
         }
         match self.cfg.engine {
             EngineKind::Naive => {
-                self.tick();
+                self.tick_full(workers);
                 false
             }
-            EngineKind::GlobalGate => self.step_gated(done),
+            EngineKind::GlobalGate => self.step_gated(workers, done),
             // The parallel wheel shares the serial wheel's scheduling (jump
             // planning, due bookkeeping, oracle); only the intra-cycle core
             // phase inside `tick_wheel` differs.
-            EngineKind::ComponentWheel | EngineKind::ParallelWheel => self.step_wheel(done),
+            EngineKind::ComponentWheel | EngineKind::ParallelWheel => {
+                self.step_wheel(workers, done)
+            }
         }
     }
 
     /// Accounts a full-sweep [`System::tick`] executed by a fast engine's
     /// fallback path (every slot burned, nothing skipped), then runs it.
-    fn tick_full_accounted(&mut self) {
+    fn tick_full_accounted(&mut self, workers: &mut [Worker<'_>]) {
         let slots = 1 + self.cfg.cores as u64;
         self.engine.component_slots += slots;
         self.engine.component_steps += slots;
-        self.tick();
+        self.tick_full(workers);
     }
 
     /// One step of the [`EngineKind::GlobalGate`] engine (PR 1): plan the
@@ -1440,10 +1448,10 @@ impl System {
     /// component wheel makes planned-but-busy cycles cheap instead of
     /// wasted, and keeping this engine deterministic in its per-cycle work
     /// makes the three-way equivalence suite sharper.
-    fn step_gated<F: Fn(&Self) -> bool>(&mut self, done: F) -> bool {
+    fn step_gated<F: Fn(&Self) -> bool>(&mut self, workers: &mut [Worker<'_>], done: F) -> bool {
         let plan = self.plan_tick();
         if plan.any() {
-            self.tick_gated(&plan);
+            self.tick_gated(&plan, workers);
             return false;
         }
         match plan.bound {
@@ -1464,7 +1472,7 @@ impl System {
                     }
                 );
                 if self.cfg.lockstep_oracle {
-                    self.verify_window(t);
+                    self.verify_window(t, workers);
                 } else {
                     self.now = t;
                 }
@@ -1486,12 +1494,11 @@ impl System {
                 if jump.l2 && self.cfg.link_latency == 0 {
                     jump.cores = (1u64 << self.cfg.cores) - 1;
                 }
-                self.tick_gated(&jump);
+                self.tick_gated(&jump, workers);
             }
-            // Every component is blocked on an external command (worker
-            // rendezvous): keep the full sweep so the rendezvous and
-            // watchdogs still run.
-            _ => self.tick_full_accounted(),
+            // Nothing bounds the future: keep the full sweep so the
+            // frontends and watchdogs still run.
+            _ => self.tick_full_accounted(workers),
         }
         false
     }
@@ -1583,8 +1590,8 @@ impl System {
     /// arrival and its B/D pop at the next cycle (the L2 steps first, so it
     /// cannot observe either before then); a frontend enqueue arms its core
     /// for the next cycle. Frontends run every executed cycle: they are
-    /// cheap, and a worker rendezvous must not be deferred.
-    fn tick_wheel(&mut self) {
+    /// cheap, and a worker poll must not be deferred.
+    fn tick_wheel(&mut self, workers: &mut [Worker<'_>]) {
         self.poll_telemetry();
         let mut lap = crate::prof::Timer::start();
         let now = self.now;
@@ -1704,7 +1711,7 @@ impl System {
             }
         }
         lap.lap(&mut self.engine.phase.core_ns);
-        let (enqueued, active) = self.step_frontends();
+        let (enqueued, active) = self.step_frontends(workers);
         let mut m = active;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
@@ -1858,16 +1865,16 @@ impl System {
     /// jumped window is naively re-verified *and* every skipped slot's due
     /// bound is recomputed from scratch each executed cycle — a component
     /// that would have acted while its slot claimed idle panics.
-    fn step_wheel<F: Fn(&Self) -> bool>(&mut self, done: F) -> bool {
+    fn step_wheel<F: Fn(&Self) -> bool>(&mut self, workers: &mut [Worker<'_>], done: F) -> bool {
         if !self.wheel.valid {
             self.wheel_rebuild();
         }
         let target = self.wheel.next_due();
         if target == NEVER {
-            // Every slot is blocked on an external command (worker
-            // rendezvous): full sweep so rendezvous and watchdogs still
-            // run. `tick` invalidates the wheel; the next step rebuilds.
-            self.tick_full_accounted();
+            // Nothing bounds the future: full sweep so the frontends and
+            // watchdogs still run. `tick` invalidates the wheel; the next
+            // step rebuilds.
+            self.tick_full_accounted(workers);
             return false;
         }
         if target > self.now {
@@ -1897,7 +1904,7 @@ impl System {
                 );
             }
             if self.cfg.lockstep_oracle {
-                self.verify_window(target);
+                self.verify_window(target, workers);
                 // `verify_window` ticks naively, invalidating the wheel —
                 // but it also proved no state changed, so a rebuild
                 // reproduces (at worst tightens) the due values.
@@ -1916,7 +1923,7 @@ impl System {
         if self.cfg.lockstep_oracle {
             self.oracle_check_wheel();
         }
-        self.tick_wheel();
+        self.tick_wheel(workers);
         false
     }
 
@@ -1957,7 +1964,7 @@ impl System {
     /// straight to the minimum [`System::next_event`] bound, then execute a
     /// normal [`System::tick`] there. When nothing bounds the future (every
     /// component is blocked on an external command), falls back to a plain
-    /// tick so watchdogs and rendezvous still run.
+    /// tick so watchdogs and frontends still run.
     pub fn tick_fast(&mut self) {
         self.fast_forward_clock();
         self.tick();
@@ -1987,7 +1994,7 @@ impl System {
                     }
                 );
                 if self.cfg.lockstep_oracle {
-                    self.verify_window(t);
+                    self.verify_window(t, &mut []);
                 } else {
                     self.now = t;
                 }
@@ -2002,10 +2009,10 @@ impl System {
     /// `[self.now, target)`, run it with the naive engine and panic on the
     /// first cycle whose state — components, links, statistics, frontends,
     /// everything but the clock — differs from the window start.
-    fn verify_window(&mut self, target: u64) {
+    fn verify_window(&mut self, target: u64, workers: &mut [Worker<'_>]) {
         let reference = self.state_digest();
         while self.now < target {
-            self.tick();
+            self.tick_full(workers);
             assert_eq!(
                 self.state_digest(),
                 reference,
@@ -2021,8 +2028,8 @@ impl System {
     /// lockstep oracle to detect work inside a claimed-idle window and by
     /// engine-equivalence tests to compare whole machines. Debug
     /// formatting covers the deep state (queues, arrays, MSHRs, stats);
-    /// frontends are summarized by hand (channel endpoints carry no
-    /// simulated state).
+    /// frontends are summarized by hand (their issue position and timers;
+    /// a thread-mode worker's future is host state).
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
         use std::hash::{Hash, Hasher};
@@ -2200,7 +2207,7 @@ impl System {
                 if let Some(until) = *nop_until {
                     return Some(until.max(now));
                 }
-                // About to rendezvous: the blocking `recv` takes zero
+                // About to poll the worker: its host code takes zero
                 // simulated time and must run this cycle.
                 Some(now)
             }
@@ -2234,7 +2241,7 @@ impl System {
     /// core slot must run next cycle); `active` — cores whose frontend
     /// changed state at all (its due bound must be recomputed). The naive
     /// and global-gate engines ignore both.
-    fn step_frontends(&mut self) -> (u64, u64) {
+    fn step_frontends(&mut self, workers: &mut [Worker<'_>]) -> (u64, u64) {
         let now = self.now;
         let issue_width = self.cfg.issue_width;
         let deadline = self.deadline;
@@ -2336,8 +2343,6 @@ impl System {
                     }
                 }
                 Frontend::Thread {
-                    rx,
-                    tx,
                     busy,
                     nop_until,
                     finished,
@@ -2345,28 +2350,14 @@ impl System {
                     if *finished {
                         continue;
                     }
-                    // Deliver a completed op's result. A failed send means
-                    // the worker is gone (panicked or leaked its handle):
-                    // mark the frontend finished so the tick loop can drain
-                    // and the thread-mode run loop surfaces the panic on
-                    // join instead
-                    // of wedging.
+                    let worker = &mut workers[i];
+                    let halted = now >= deadline;
+                    // Deliver a completed op's result.
                     if let Some(tok) = *busy {
                         match lsus[i].take_finished(tok) {
                             Some(value) => {
                                 *busy = None;
-                                active |= bit;
-                                if tx
-                                    .send(Resp {
-                                        value,
-                                        halted: now >= deadline,
-                                    })
-                                    .is_err()
-                                {
-                                    *finished = true;
-                                    record(i, Op::Nop { cycles: 0 });
-                                    continue;
-                                }
+                                worker.deliver(Resp { value, halted });
                             }
                             None => continue,
                         }
@@ -2376,68 +2367,36 @@ impl System {
                             continue;
                         }
                         *nop_until = None;
-                        active |= bit;
-                        if tx
-                            .send(Resp {
-                                value: 0,
-                                halted: now >= deadline,
-                            })
-                            .is_err()
-                        {
+                        worker.deliver(Resp { value: 0, halted });
+                    }
+                    // Run the worker up to its next op (its host-side
+                    // computation takes zero simulated time).
+                    active |= bit;
+                    match worker.poll(now, halted) {
+                        Some(Op::Nop { cycles }) => {
+                            *nop_until = Some(now + cycles);
+                            record(i, Op::Nop { cycles });
+                        }
+                        Some(op) => {
+                            let tok = *next_token + 1;
+                            *next_token = tok;
+                            // Thread mode has at most one op in flight;
+                            // room is guaranteed.
+                            lsus[i].enqueue(tok, op, now);
+                            *busy = Some(tok);
+                            enqueued |= bit;
+                            record(i, op);
+                        }
+                        None => {
+                            // Capture the worker's return as a zero-cycle
+                            // think time: the thread run executes this
+                            // cycle to retire the worker, so a replay must
+                            // execute it too for the final cycle count to
+                            // match (a trailing Nop's expiry alone is a
+                            // pure time bound a fast-forward engine can
+                            // satisfy without executing the cycle).
                             *finished = true;
                             record(i, Op::Nop { cycles: 0 });
-                            continue;
-                        }
-                    }
-                    // Rendezvous: block until the workload's next command
-                    // (its host-side computation takes zero simulated
-                    // time). A disconnected channel is treated exactly like
-                    // `Cmd::Done`.
-                    loop {
-                        active |= bit;
-                        match rx.recv() {
-                            Ok(Cmd::RdCycle) => {
-                                if tx
-                                    .send(Resp {
-                                        value: now,
-                                        halted: now >= deadline,
-                                    })
-                                    .is_err()
-                                {
-                                    *finished = true;
-                                    record(i, Op::Nop { cycles: 0 });
-                                    break;
-                                }
-                            }
-                            Ok(Cmd::Op(Op::Nop { cycles })) => {
-                                *nop_until = Some(now + cycles);
-                                record(i, Op::Nop { cycles });
-                                break;
-                            }
-                            Ok(Cmd::Op(op)) => {
-                                let tok = *next_token + 1;
-                                *next_token = tok;
-                                // Thread mode has at most one op in
-                                // flight; room is guaranteed.
-                                lsus[i].enqueue(tok, op, now);
-                                *busy = Some(tok);
-                                enqueued |= bit;
-                                record(i, op);
-                                break;
-                            }
-                            Ok(Cmd::Done) | Err(_) => {
-                                // Capture the end-of-run handshake as a
-                                // zero-cycle think time: the thread run
-                                // executes this cycle to retire the worker,
-                                // so a replay must execute it too for the
-                                // final cycle count to match (a trailing
-                                // Nop's expiry alone is a pure time bound a
-                                // fast-forward engine can satisfy without
-                                // executing the cycle).
-                                *finished = true;
-                                record(i, Op::Nop { cycles: 0 });
-                                break;
-                            }
                         }
                     }
                 }
@@ -2591,7 +2550,7 @@ impl System {
         }
         let watchdog = self.now + 2_000_000_000;
         loop {
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
+            if self.step_engine(&mut [], |s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
                 break;
             }
             assert!(self.now < watchdog, "replay run exceeded watchdog budget");
@@ -2646,7 +2605,7 @@ impl System {
             if let Err(e) = observe(self) {
                 break Err((self.now, e));
             }
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
+            if self.step_engine(&mut [], |s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
                 break Ok(self.now - start);
             }
             assert!(self.now < watchdog, "program run exceeded watchdog budget");
@@ -2679,7 +2638,9 @@ impl System {
             if let Err(e) = observe(self) {
                 return Err((self.now, e));
             }
-            if self.step_engine(|s| s.l1s.iter().all(|c| c.is_quiescent()) && s.l2.is_quiescent()) {
+            if self.step_engine(&mut [], |s| {
+                s.l1s.iter().all(|c| c.is_quiescent()) && s.l2.is_quiescent()
+            }) {
                 return Ok(());
             }
             assert!(self.now < watchdog, "quiesce exceeded watchdog budget");
@@ -2687,8 +2648,10 @@ impl System {
     }
 
     /// Thread mode's engine loop ([`crate::workload::Threads`]): runs one
-    /// closure per core (missing cores idle), each driving its core through
-    /// a [`CoreHandle`]; returns `(elapsed_cycles, results, budget_expired)`.
+    /// async closure per core (missing cores idle), each driving its core
+    /// through a [`CoreHandle`]; returns `(elapsed_cycles, results,
+    /// budget_expired)`. The worker futures live in this frame and are
+    /// polled by the frontend step on the calling thread.
     ///
     /// **Budget semantics** (preserved by [`RunReport`]): `budget` is a
     /// *soft* stop measured from the call. Once `budget` cycles have
@@ -2700,15 +2663,16 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if more workers than cores are supplied or a worker panics.
-    pub(crate) fn run_threads_inner<R, F>(
+    /// Panics if more workers than cores are supplied; a worker's panic
+    /// unwinds through this call with the worker's own message.
+    pub(crate) fn run_threads_inner<R, F, Fut>(
         &mut self,
         workers: Vec<F>,
         budget: Option<u64>,
     ) -> (u64, Vec<R>, bool)
     where
-        R: Send,
-        F: FnOnce(CoreHandle) -> R + Send,
+        F: FnOnce(CoreHandle) -> Fut,
+        Fut: Future<Output = R>,
     {
         assert!(
             workers.len() <= self.cfg.cores,
@@ -2719,38 +2683,33 @@ impl System {
         let start = self.now;
         self.wheel.valid = false;
         self.deadline = budget.map_or(u64::MAX, |b| start + b);
-        let n = workers.len();
-        let mut handles = Vec::with_capacity(n);
-        for (i, fe) in self.frontends.iter_mut().enumerate().take(n) {
-            let (cmd_tx, cmd_rx) = unbounded();
-            let (res_tx, res_rx) = unbounded();
-            *fe = Frontend::Thread {
-                rx: cmd_rx,
-                tx: res_tx,
-                busy: None,
-                nop_until: None,
-                finished: false,
-            };
-            handles.push(CoreHandle::new(cmd_tx, res_rx, i));
-        }
-        let results = std::thread::scope(|scope| {
-            let joins: Vec<_> = workers
+        let mut results: Vec<Option<R>> = workers.iter().map(|_| None).collect();
+        {
+            let mut live: Vec<Worker<'_>> = workers
                 .into_iter()
-                .zip(handles)
-                .map(|(w, h)| scope.spawn(move || w(h)))
+                .zip(results.iter_mut())
+                .enumerate()
+                .map(|(i, (w, out))| Worker::new(i, w, out))
                 .collect();
-            while !self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {}
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("workload thread panicked"))
-                .collect()
-        });
+            for fe in self.frontends.iter_mut().take(live.len()) {
+                *fe = Frontend::Thread {
+                    busy: None,
+                    nop_until: None,
+                    finished: false,
+                };
+            }
+            while !self.step_engine(&mut live, |s| (0..s.cfg.cores).all(|i| s.program_done(i))) {}
+        }
         let expired = self.deadline != u64::MAX && self.now >= self.deadline;
         for fe in &mut self.frontends {
             *fe = Frontend::Idle;
         }
         self.wheel.valid = false;
         self.deadline = u64::MAX;
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("every thread-mode worker returns before the run ends"))
+            .collect();
         (self.now - start, results, expired)
     }
 }
@@ -2761,7 +2720,7 @@ use crate::snapshot::Snapshot;
 use skipit_snap::{Codec, SnapError, SnapReader, SnapWriter};
 
 impl Frontend {
-    /// Thread-mode frontends hold host channel endpoints that no byte
+    /// Thread-mode frontends stand for live worker futures that no byte
     /// encoding can capture; snapshotting them is a typed error.
     fn encode(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         match self {
@@ -2866,7 +2825,7 @@ impl System {
     /// # Errors
     ///
     /// [`SnapError::LiveThreads`] if any core is in thread mode (inside a
-    /// [`crate::workload::Threads`] run): host channel endpoints cannot be
+    /// [`crate::workload::Threads`] run): live worker futures cannot be
     /// encoded. Snapshot between runs, or from program mode's observer hook.
     pub fn snapshot(&self) -> Result<Snapshot, SnapError> {
         let mut w = SnapWriter::new();
@@ -2967,7 +2926,7 @@ impl System {
         self.wheel.valid = false;
         let watchdog = self.now + 2_000_000_000;
         let elapsed = loop {
-            if self.step_engine(|s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
+            if self.step_engine(&mut [], |s| (0..s.cfg.cores).all(|i| s.program_done(i))) {
                 break self.now - start;
             }
             assert!(self.now < watchdog, "program run exceeded watchdog budget");
@@ -3135,7 +3094,7 @@ mod tests {
             let l2_ns = t0.elapsed().as_nanos() as f64 / N as f64;
             let t0 = Instant::now();
             for _ in 0..N {
-                s.step_frontends();
+                s.step_frontends(&mut []);
             }
             let fe_ns = t0.elapsed().as_nanos() as f64 / N as f64;
             eprintln!(
@@ -3225,8 +3184,8 @@ mod tests {
             vec![],
         ]));
         let (_, vals) = s
-            .run(Threads::new(vec![|h: CoreHandle| {
-                let v = h.load(0x4000);
+            .run(Threads::new(vec![|h: CoreHandle| async move {
+                let v = h.load(0x4000).await;
                 h.finish();
                 v
             }]))
@@ -3243,24 +3202,25 @@ mod tests {
         let (_, results) = s
             .run(
                 Threads::new(vec![
-                    Box::new(|h: CoreHandle| {
-                        h.store(0x5000, 21);
-                        // Signal readiness through another line.
-                        h.store(0x5040, 1);
-                        h.finish();
-                        0u64
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(|h: CoreHandle| {
+                    |h: CoreHandle| async move {
+                        if h.core_id() == 0 {
+                            h.store(0x5000, 21).await;
+                            // Signal readiness through another line.
+                            h.store(0x5040, 1).await;
+                            h.finish();
+                            return 0u64;
+                        }
                         // Spin on the flag (coherent read).
-                        while h.load(0x5040) == 0 {
+                        while h.load(0x5040).await == 0 {
                             if h.halted() {
                                 return u64::MAX;
                             }
                         }
-                        let v = h.load(0x5000);
+                        let v = h.load(0x5000).await;
                         h.finish();
                         v
-                    }),
+                    };
+                    2
                 ])
                 .budget(2_000_000),
             )
@@ -3358,9 +3318,9 @@ mod tests {
     fn rdcycle_advances() {
         let mut s = sys(1, false);
         let (_, vals) = s
-            .run(Threads::new(vec![|h: CoreHandle| {
+            .run(Threads::new(vec![|h: CoreHandle| async move {
                 let t0 = h.rdcycle();
-                h.store(0x100, 1);
+                h.store(0x100, 1).await;
                 let t1 = h.rdcycle();
                 h.finish();
                 (t0, t1)
@@ -3373,9 +3333,9 @@ mod tests {
     fn work_occupies_cycles() {
         let mut s = sys(1, false);
         let (_, vals) = s
-            .run(Threads::new(vec![|h: CoreHandle| {
+            .run(Threads::new(vec![|h: CoreHandle| async move {
                 let t0 = h.rdcycle();
-                h.work(100);
+                h.work(100).await;
                 let t1 = h.rdcycle();
                 h.finish();
                 t1 - t0
@@ -3389,10 +3349,10 @@ mod tests {
         let mut s = sys(1, false);
         let (_, ops) = s
             .run(
-                Threads::new(vec![|h: CoreHandle| {
+                Threads::new(vec![|h: CoreHandle| async move {
                     let mut n = 0u64;
                     while !h.halted() {
-                        h.store(0x100, n);
+                        h.store(0x100, n).await;
                         n += 1;
                     }
                     h.finish();
@@ -3594,24 +3554,25 @@ mod tests {
                 ..SystemConfig::default()
             });
             s.run(Threads::new(vec![
-                Box::new(|h: CoreHandle| {
-                    for i in 0..6u64 {
-                        h.store(0x7000 + i * 64, i + 1);
+                |h: CoreHandle| async move {
+                    if h.core_id() == 0 {
+                        for i in 0..6u64 {
+                            h.store(0x7000 + i * 64, i + 1).await;
+                        }
+                        h.work(200).await;
+                        let v = h.load(0x7000).await;
+                        h.flush(0x7000).await;
+                        h.fence().await;
+                        h.finish();
+                        return v;
                     }
-                    h.work(200);
-                    let v = h.load(0x7000);
-                    h.flush(0x7000);
-                    h.fence();
+                    h.work(50).await;
+                    let v = h.fetch_add(0x7000, 10).await;
+                    h.fence().await;
                     h.finish();
                     v
-                }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                Box::new(|h: CoreHandle| {
-                    h.work(50);
-                    let v = h.fetch_add(0x7000, 10);
-                    h.fence();
-                    h.finish();
-                    v
-                }),
+                };
+                2
             ]))
             .into_parts()
         };
@@ -3622,25 +3583,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "workload thread panicked")]
+    #[should_panic(expected = "injected workload failure")]
     fn worker_panic_propagates_instead_of_wedging() {
         let mut s = sys(2, false);
         let _ = s
             .run(
                 Threads::new(vec![
-                    Box::new(|h: CoreHandle| -> u64 {
-                        h.store(0x100, 1);
-                        panic!("injected workload failure");
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(|h: CoreHandle| {
-                        h.store(0x140, 2);
+                    |h: CoreHandle| async move {
+                        if h.core_id() == 0 {
+                            h.store(0x100, 1).await;
+                            panic!("injected workload failure");
+                        }
+                        h.store(0x140, 2).await;
                         h.finish();
-                        0
-                    }),
+                        0u64
+                    };
+                    2
                 ])
                 .budget(1_000_000),
             )
             .into_parts();
+    }
+
+    #[test]
+    #[should_panic(expected = "may await only CoreHandle ops")]
+    fn worker_awaiting_a_foreign_future_is_rejected() {
+        let mut s = sys(1, false);
+        s.run(Threads::new(vec![|h: CoreHandle| async move {
+            h.store(0x100, 1).await;
+            std::future::pending::<()>().await;
+        }]));
     }
 
     /// Snapshots the contended 2-core run at the first observed cycle
@@ -3787,11 +3759,7 @@ mod tests {
     #[test]
     fn live_thread_frontends_refuse_to_snapshot() {
         let mut s = sys(1, false);
-        let (_cmd_tx, cmd_rx) = unbounded();
-        let (res_tx, _res_rx) = unbounded();
         s.frontends[0] = Frontend::Thread {
-            rx: cmd_rx,
-            tx: res_tx,
             busy: None,
             nop_until: None,
             finished: false,

@@ -12,15 +12,17 @@
 //! Three first-party workloads:
 //!
 //! * [`Programs`] — one fixed [`Op`] script per core (program mode);
-//! * [`Threads`] — one host closure per core, driving its core through a
-//!   [`CoreHandle`] under the deterministic rendezvous protocol (thread
-//!   mode), with an optional soft cycle budget;
+//! * [`Threads`] — one `async` closure per core, driving its core through
+//!   a [`CoreHandle`] (thread mode), with an optional soft cycle budget.
+//!   The simulator polls every worker's future itself, on the calling
+//!   thread, in the cycle the core's previous op completes — see
+//!   [`crate::handle`];
 //! * [`ReplaySchedule`] — one cycle-stamped [`TimedOp`] lane per core (the
 //!   replay frontend; `skipit-replay`'s `TraceReplay` lowers a decoded
 //!   trace to this).
 //!
 //! ```
-//! use skipit_boom::{Op, Programs, System, SystemConfig};
+//! use skipit_boom::{CoreHandle, Op, Programs, System, SystemConfig, Threads};
 //!
 //! let mut sys = System::new(SystemConfig::default());
 //! let report = sys.run(Programs(vec![vec![
@@ -30,11 +32,21 @@
 //! ]]));
 //! assert!(report.cycles > 0);
 //! assert!(!report.budget_expired);
+//!
+//! // Thread mode: value-dependent code, one awaited op at a time.
+//! let report = sys.run(Threads::new(vec![|h: CoreHandle| async move {
+//!     let old = h.fetch_add(0x1000, 1).await;
+//!     h.flush(0x1000).await;
+//!     h.fence().await;
+//!     old
+//! }]));
+//! assert_eq!(report.output, vec![7]);
 //! ```
 
 use crate::handle::CoreHandle;
 use crate::op::Op;
 use crate::system::System;
+use std::future::Future;
 
 /// Anything that can drive a [`System`] to completion.
 ///
@@ -103,10 +115,12 @@ impl Workload for Programs {
     }
 }
 
-/// Thread mode as a [`Workload`]: one host closure per core (missing cores
-/// idle), each driving its core through a [`CoreHandle`] under the
-/// deterministic rendezvous protocol. Output is the per-worker results, in
-/// worker order.
+/// Thread mode as a [`Workload`]: one closure per core (missing cores
+/// idle), each called with its core's [`CoreHandle`] and returning the
+/// future that drives the core — typically `|h: CoreHandle| async move {
+/// … }`. The simulator polls the futures on the calling thread, in core
+/// order, each in the cycle its core's previous op completed (see
+/// [`crate::handle`]). Output is the per-worker results, in worker order.
 ///
 /// An optional [`Threads::budget`] (cycles, measured from the call)
 /// soft-stops the run: once `budget` cycles have elapsed, every response a
@@ -116,8 +130,8 @@ impl Workload for Programs {
 ///
 /// # Panics
 ///
-/// Running panics if more workers than cores are supplied or a worker
-/// panics.
+/// Running panics if more workers than cores are supplied. A worker's
+/// panic unwinds out of [`System::run`] with the worker's own message.
 #[derive(Debug)]
 pub struct Threads<F> {
     workers: Vec<F>,
@@ -147,10 +161,10 @@ impl<F> Threads<F> {
     }
 }
 
-impl<R, F> Workload for Threads<F>
+impl<R, F, Fut> Workload for Threads<F>
 where
-    R: Send,
-    F: FnOnce(CoreHandle) -> R + Send,
+    F: FnOnce(CoreHandle) -> Fut,
+    Fut: Future<Output = R>,
 {
     type Output = Vec<R>;
 

@@ -326,8 +326,10 @@ mod tests {
             SystemBuilder::new().cores(33).try_build().unwrap_err(),
             ConfigError::Cores { got: 33 }
         );
-        let mut l1 = L1Config::default();
-        l1.sets = 48;
+        let l1 = L1Config {
+            sets: 48,
+            ..L1Config::default()
+        };
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::NonPowerOfTwo {
@@ -335,8 +337,10 @@ mod tests {
                 got: 48
             }
         );
-        let mut l1 = L1Config::default();
-        l1.fshrs = 0;
+        let l1 = L1Config {
+            fshrs: 0,
+            ..L1Config::default()
+        };
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::Zero { what: "l1.fshrs" }

@@ -47,18 +47,21 @@ pub use workload::{
 };
 
 use skipit_core::CoreHandle;
+use std::future::Future;
 
 /// A concurrent set keyed by `u64`, driven through a persistence handle.
 ///
 /// All three operations are linearizable and lock-free; keys must be below
-/// [`ptr::MAX_KEY`].
-pub trait ConcurrentSet: Sync {
-    /// Inserts `key`; returns `false` if already present.
-    fn insert(&self, ph: &PHandle<'_>, key: u64) -> bool;
-    /// Removes `key`; returns `false` if absent.
-    fn remove(&self, ph: &PHandle<'_>, key: u64) -> bool;
+/// [`ptr::MAX_KEY`]. Each is a future that resolves once the operation's
+/// last simulated memory op has completed (implementations write them as
+/// `async fn`s over the handle's ops).
+pub trait ConcurrentSet {
+    /// Inserts `key`; resolves to `false` if already present.
+    fn insert(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
+    /// Removes `key`; resolves to `false` if absent.
+    fn remove(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
     /// Membership test.
-    fn contains(&self, ph: &PHandle<'_>, key: u64) -> bool;
+    fn contains(&self, ph: &PHandle<'_>, key: u64) -> impl Future<Output = bool>;
 }
 
 /// Convenience: wraps a raw [`CoreHandle`] in a non-persistent [`PHandle`]

@@ -14,8 +14,9 @@
 //! with everything `System::run` composes with: capture/replay, snapshots,
 //! schedule perturbation, and all four simulation engines — and the report
 //! is bit-identical across engines and host thread counts because the
-//! streams are pre-generated and thread mode's rendezvous protocol decouples
-//! simulated time from host scheduling.
+//! streams are pre-generated and thread mode polls every lane's worker on
+//! the simulator thread in a fixed order, which decouples simulated time
+//! from host scheduling.
 
 use crate::gen::{build_lanes, shard_table, Arrivals, KeyDist, OpMix, ReqKind, Request, Stress};
 use crate::rng::{splitmix64, SplitMix64};
@@ -218,9 +219,9 @@ fn fold(digest: u64, value: u64) -> u64 {
 }
 
 /// Executes one lane against the shared set. Returns the lane report.
-fn run_lane(
+async fn run_lane(
     h: &CoreHandle,
-    set: &dyn ConcurrentSet,
+    set: &HashTable,
     lane: &[Request],
     shards: &[(u64, u64)],
     mode: PersistMode,
@@ -235,31 +236,31 @@ fn run_lane(
         let due = base + req.at;
         let now = h.rdcycle();
         if now < due {
-            h.work(due - now);
+            h.work(due - now).await;
         }
         match req.kind {
             ReqKind::Read => {
-                set.contains(&ph, req.key);
-                h.load(cache_slot(req.key));
+                set.contains(&ph, req.key).await;
+                h.load(cache_slot(req.key)).await;
             }
             ReqKind::Insert => {
-                set.insert(&ph, req.key);
-                h.store(cache_slot(req.key), req.at);
+                set.insert(&ph, req.key).await;
+                h.store(cache_slot(req.key), req.at).await;
             }
             ReqKind::Remove => {
-                set.remove(&ph, req.key);
-                h.store(cache_slot(req.key), req.at);
+                set.remove(&ph, req.key).await;
+                h.store(cache_slot(req.key), req.at).await;
             }
             ReqKind::Scan { len } => {
                 let (lo, span) = shards[req.tenant as usize];
                 for i in 0..len as u64 {
                     let k = lo + (req.key - lo + i) % span;
-                    set.contains(&ph, k);
-                    h.load(cache_slot(k));
+                    set.contains(&ph, k).await;
+                    h.load(cache_slot(k)).await;
                 }
             }
             ReqKind::Expire => {
-                h.flush(cache_slot(req.key));
+                h.flush(cache_slot(req.key)).await;
             }
         }
         let done = h.rdcycle();
@@ -311,15 +312,15 @@ impl Workload for ServiceWorkload {
             poke(sys, cache_slot(key), key);
         }
         let fill_cycles = {
-            let set: &dyn ConcurrentSet = &table;
+            let set = &table;
             let (seed, prefill, key_range, opt) = (cfg.seed, cfg.prefill, cfg.key_range, cfg.opt);
-            sys.run(Threads::new(vec![move |h: CoreHandle| {
+            sys.run(Threads::new(vec![move |h: CoreHandle| async move {
                 let ph = PHandle::new(&h, PersistMode::Manual, opt);
                 let mut rng = SplitMix64::new(splitmix64(seed ^ 0xF111_F111));
                 let mut inserted = 0;
                 while inserted < prefill {
                     let k = 1 + rng.gen_range(key_range);
-                    if set.insert(&ph, k) {
+                    if set.insert(&ph, k).await {
                         inserted += 1;
                     }
                 }
@@ -328,16 +329,19 @@ impl Workload for ServiceWorkload {
         };
 
         let (cycles, lane_reports): (u64, Vec<LaneReport>) = {
-            let set: &dyn ConcurrentSet = &table;
-            let workers: Vec<_> = lanes
-                .iter()
-                .map(|lane| {
-                    let lane = lane.as_slice();
-                    let shards = shards.as_slice();
-                    let (mode, opt) = (cfg.mode, cfg.opt);
-                    move |h: CoreHandle| run_lane(&h, set, lane, shards, mode, opt)
-                })
-                .collect();
+            let set = &table;
+            let workers: Vec<_> =
+                lanes
+                    .iter()
+                    .map(|lane| {
+                        let lane = lane.as_slice();
+                        let shards = shards.as_slice();
+                        let (mode, opt) = (cfg.mode, cfg.opt);
+                        move |h: CoreHandle| async move {
+                            run_lane(&h, set, lane, shards, mode, opt).await
+                        }
+                    })
+                    .collect();
             sys.run(Threads::new(workers)).into_parts()
         };
 

@@ -27,42 +27,52 @@ const LOG_BASE: u64 = 0x9_0000;
 
 fn kv_workload(sys: &mut skipit::System) -> Vec<u64> {
     let report = sys.run(Threads::new(vec![
-        // Writer: log-then-install. Each update appends (key, value) to the
-        // log, persists the log entry, installs the value in place, and
-        // persists the install — the classic redo-log persistence pattern
-        // the paper's §4 semantics are built for.
-        |h: CoreHandle| {
-            let mut installed = 0;
-            for i in 0..12u64 {
-                let key = i % 4;
-                let value = 100 + i;
-                let entry = LOG_BASE + i * 64;
-                h.store(entry, (key << 32) | value);
-                h.flush(entry);
-                h.fence();
-                h.store(KV_BASE + key * 64, value);
-                h.flush(KV_BASE + key * 64);
-                h.fence();
-                installed += 1;
+        |h: CoreHandle| async move {
+            if h.core_id() == 0 {
+                writer(&h).await
+            } else {
+                reader(&h).await
             }
-            installed
-        },
-        // Reader: scans the live slots and bumps a shared version counter,
-        // contending with the writer for line ownership.
-        |h: CoreHandle| {
-            let mut sum = 0u64;
-            for round in 0..6u64 {
-                for key in 0..4u64 {
-                    sum = sum.wrapping_add(h.load(KV_BASE + key * 64));
-                }
-                h.fetch_add(KV_BASE + 4 * 64, 1);
-                h.work(10 + round);
-            }
-            h.fence();
-            sum
-        },
+        };
+        2
     ]));
     report.output
+}
+
+/// Log-then-install. Each update appends (key, value) to the log, persists
+/// the log entry, installs the value in place, and persists the install —
+/// the classic redo-log persistence pattern the paper's §4 semantics are
+/// built for.
+async fn writer(h: &CoreHandle) -> u64 {
+    let mut installed = 0;
+    for i in 0..12u64 {
+        let key = i % 4;
+        let value = 100 + i;
+        let entry = LOG_BASE + i * 64;
+        h.store(entry, (key << 32) | value).await;
+        h.flush(entry).await;
+        h.fence().await;
+        h.store(KV_BASE + key * 64, value).await;
+        h.flush(KV_BASE + key * 64).await;
+        h.fence().await;
+        installed += 1;
+    }
+    installed
+}
+
+/// Scans the live slots and bumps a shared version counter, contending
+/// with the writer for line ownership.
+async fn reader(h: &CoreHandle) -> u64 {
+    let mut sum = 0u64;
+    for round in 0..6u64 {
+        for key in 0..4u64 {
+            sum = sum.wrapping_add(h.load(KV_BASE + key * 64).await);
+        }
+        h.fetch_add(KV_BASE + 4 * 64, 1).await;
+        h.work(10 + round).await;
+    }
+    h.fence().await;
+    sum
 }
 
 fn main() {

@@ -25,20 +25,21 @@ fn main() {
             let (_, r) = sys
                 .run(
                     Threads::new(vec![
-                        Box::new(move |h: CoreHandle| {
-                            h.store(data, 1);
-                            h.fence();
-                            h.store(flag, 1);
-                            0u64
-                        }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                        Box::new(move |h: CoreHandle| {
-                            while h.load(flag) == 0 {
+                        move |h: CoreHandle| async move {
+                            if h.core_id() == 0 {
+                                h.store(data, 1).await;
+                                h.fence().await;
+                                h.store(flag, 1).await;
+                                return 0u64;
+                            }
+                            while h.load(flag).await == 0 {
                                 if h.halted() {
                                     return 1;
                                 }
                             }
-                            h.load(data)
-                        }),
+                            h.load(data).await
+                        };
+                        2
                     ])
                     .budget(500_000),
                 )
@@ -63,16 +64,13 @@ fn main() {
             let y = 0x4000 + round * 128;
             let (_, r) = sys
                 .run(Threads::new(vec![
-                    Box::new(move |h: CoreHandle| {
-                        h.store(x, 1);
-                        h.fence();
-                        h.load(y)
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(move |h: CoreHandle| {
-                        h.store(y, 1);
-                        h.fence();
-                        h.load(x)
-                    }),
+                    move |h: CoreHandle| async move {
+                        let (mine, other) = if h.core_id() == 0 { (x, y) } else { (y, x) };
+                        h.store(mine, 1).await;
+                        h.fence().await;
+                        h.load(other).await
+                    };
+                    2
                 ]))
                 .into_parts();
             if r[0] == 0 && r[1] == 0 {
@@ -92,24 +90,25 @@ fn main() {
         let mut sys = SystemBuilder::new().cores(2).build();
         let (_, r) = sys
             .run(Threads::new(vec![
-                Box::new(|h: CoreHandle| {
-                    for v in 1..100u64 {
-                        h.store(0x5000, v);
+                |h: CoreHandle| async move {
+                    if h.core_id() == 0 {
+                        for v in 1..100u64 {
+                            h.store(0x5000, v).await;
+                        }
+                        return 0u64;
                     }
-                    0u64
-                }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                Box::new(|h: CoreHandle| {
                     let mut last = 0;
                     let mut violations = 0u64;
                     for _ in 0..200 {
-                        let v = h.load(0x5000);
+                        let v = h.load(0x5000).await;
                         if v < last {
                             violations += 1;
                         }
                         last = v;
                     }
                     violations
-                }),
+                };
+                2
             ]))
             .into_parts();
         check(

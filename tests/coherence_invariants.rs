@@ -79,20 +79,21 @@ fn message_passing_litmus() {
         let (_, got) = s
             .run(
                 Threads::new(vec![
-                    Box::new(move |h: CoreHandle| {
-                        h.store(data, 1000 + round);
-                        h.fence();
-                        h.store(flag, 1);
-                        0u64
-                    }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                    Box::new(move |h: CoreHandle| {
-                        while h.load(flag) == 0 {
+                    move |h: CoreHandle| async move {
+                        if h.core_id() == 0 {
+                            h.store(data, 1000 + round).await;
+                            h.fence().await;
+                            h.store(flag, 1).await;
+                            return 0u64;
+                        }
+                        while h.load(flag).await == 0 {
                             if h.halted() {
                                 return 0;
                             }
                         }
-                        h.load(data)
-                    }),
+                        h.load(data).await
+                    };
+                    2
                 ])
                 .budget(1_000_000),
             )
@@ -112,16 +113,13 @@ fn store_buffer_litmus_with_fences() {
         let y = 0x41_000 + round * 128;
         let (_, got) = s
             .run(Threads::new(vec![
-                Box::new(move |h: CoreHandle| {
-                    h.store(x, 1);
-                    h.fence();
-                    h.load(y)
-                }) as Box<dyn FnOnce(CoreHandle) -> u64 + Send>,
-                Box::new(move |h: CoreHandle| {
-                    h.store(y, 1);
-                    h.fence();
-                    h.load(x)
-                }),
+                move |h: CoreHandle| async move {
+                    let (mine, other) = if h.core_id() == 0 { (x, y) } else { (y, x) };
+                    h.store(mine, 1).await;
+                    h.fence().await;
+                    h.load(other).await
+                };
+                2
             ]))
             .into_parts();
         assert!(

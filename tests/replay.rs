@@ -86,10 +86,7 @@ fn arb_programs() -> impl Strategy<Value = Vec<Vec<Op>>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// The round-trip invariant: `capture(run(W))` replayed on a fresh
     /// system reproduces the run bit-identically under every engine at
@@ -132,34 +129,30 @@ proptest! {
 }
 
 /// A thread-mode run replays bit-identically — cycles included. The
-/// capture records the end-of-run `Done` handshake as a zero-cycle think
-/// time, so the replay executes the same final cycle the rendezvous run
-/// did (PR 9 shipped with a documented possible end-of-run cycle shift;
+/// capture records each worker's return as a zero-cycle think time, so
+/// the replay executes the same final cycle the thread run did (PR 9 shipped with a documented possible end-of-run cycle shift;
 /// the drain window is now part of the trace).
 #[test]
 fn thread_mode_capture_replays_bit_identically() {
     let mut sys = skipit::paper_platform(true);
     sys.start_capture();
     let report = sys.run(Threads::new(vec![
-        |h: CoreHandle| {
+        |h: CoreHandle| async move {
             let mut sum = 0;
             for i in 0..8u64 {
-                h.store(0x6000 + i * 64, i + 1);
-                h.flush(0x6000 + i * 64);
-                sum += h.load(0x6000 + i * 64);
+                if h.core_id() == 0 {
+                    h.store(0x6000 + i * 64, i + 1).await;
+                    h.flush(0x6000 + i * 64).await;
+                    sum += h.load(0x6000 + i * 64).await;
+                } else {
+                    sum += h.fetch_add(0x6000 + i * 64, 10).await;
+                    h.work(5).await;
+                }
             }
-            h.fence();
+            h.fence().await;
             sum
-        },
-        |h: CoreHandle| {
-            let mut sum = 0;
-            for i in 0..8u64 {
-                sum += h.fetch_add(0x6000 + i * 64, 10);
-                h.work(5);
-            }
-            h.fence();
-            sum
-        },
+        };
+        2
     ]));
     assert_eq!(report.output.len(), 2);
     let cycles = report.cycles;
@@ -190,22 +183,22 @@ fn thread_mode_capture_replays_bit_identically() {
 
 /// The drain window matters most when a core's *last* interaction is a
 /// think-time expiry (the old end condition could be satisfied at a
-/// fast-forward jump target without executing the final handshake
+/// fast-forward jump target without executing the final worker-return
 /// cycle): budgeted spin-until-halted workers — the benchmark measure
 /// loop's shape — replay to the exact cycle count.
 #[test]
 fn budgeted_thread_capture_replays_to_exact_cycles() {
     for budget in [50u64, 1000, 5000] {
         let worker = |tid: u64| {
-            move |h: CoreHandle| {
+            move |h: CoreHandle| async move {
                 let mut i = 0u64;
                 while !h.halted() {
                     let a = 0x6000 + ((i * 7 + tid * 13) % 32) * 64;
-                    h.store(a, i + 1);
-                    h.flush(a);
-                    h.load(a);
-                    if i % 3 == 0 {
-                        h.work(3 + tid);
+                    h.store(a, i + 1).await;
+                    h.flush(a).await;
+                    h.load(a).await;
+                    if i.is_multiple_of(3) {
+                        h.work(3 + tid).await;
                     }
                     i += 1;
                 }

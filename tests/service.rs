@@ -120,10 +120,7 @@ fn fingerprint(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8,
-        .. ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig { cases: 8 })]
 
     /// Same configuration, same seed → bit-identical service report on
     /// every engine at every thread count, with and without adversarial

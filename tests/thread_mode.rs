@@ -1,4 +1,4 @@
-//! Thread-mode (rendezvous) edge cases: degenerate workloads, mixed
+//! Thread-mode (polled worker) edge cases: degenerate workloads, mixed
 //! program/thread phases, budget semantics, and determinism of the
 //! scheduler itself.
 
@@ -9,8 +9,12 @@ fn worker_that_does_nothing_terminates() {
     let mut sys = SystemBuilder::new().cores(2).build();
     let (cycles, _) = sys
         .run(Threads::new(vec![
-            |h: CoreHandle| h.finish(),
-            |_h: CoreHandle| {},
+            |h: CoreHandle| async move {
+                if h.core_id() == 0 {
+                    h.finish();
+                }
+            };
+            2
         ]))
         .into_parts();
     assert!(cycles < 100);
@@ -20,7 +24,7 @@ fn worker_that_does_nothing_terminates() {
 fn worker_using_only_rdcycle_terminates() {
     let mut sys = SystemBuilder::new().cores(1).build();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| {
+        .run(Threads::new(vec![|h: CoreHandle| async move {
             let a = h.rdcycle();
             let b = h.rdcycle();
             (a, b)
@@ -34,9 +38,9 @@ fn worker_using_only_rdcycle_terminates() {
 fn fewer_workers_than_cores_is_fine() {
     let mut sys = SystemBuilder::new().cores(4).build();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| {
-            h.store(0x100, 5);
-            h.load(0x100)
+        .run(Threads::new(vec![|h: CoreHandle| async move {
+            h.store(0x100, 5).await;
+            h.load(0x100).await
         }]))
         .into_parts();
     assert_eq!(v[0], 5);
@@ -54,7 +58,9 @@ fn program_and_thread_phases_interleave_on_shared_state() {
     ]));
     sys.quiesce();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| h.load(0x200)]))
+        .run(Threads::new(vec![|h: CoreHandle| async move {
+            h.load(0x200).await
+        }]))
         .into_parts();
     assert_eq!(v[0], 7);
     sys.run(Programs(vec![
@@ -69,7 +75,9 @@ fn program_and_thread_phases_interleave_on_shared_state() {
     // traffic, after which the new value must be visible.
     sys.quiesce();
     let (_, v) = sys
-        .run(Threads::new(vec![|h: CoreHandle| h.load(0x200)]))
+        .run(Threads::new(vec![|h: CoreHandle| async move {
+            h.load(0x200).await
+        }]))
         .into_parts();
     assert_eq!(v[0], 8);
 }
@@ -77,10 +85,10 @@ fn program_and_thread_phases_interleave_on_shared_state() {
 #[test]
 fn budget_halts_all_workers_eventually() {
     let mut sys = SystemBuilder::new().cores(3).build();
-    let worker = |h: CoreHandle| {
+    let worker = |h: CoreHandle| async move {
         let mut n = 0u64;
         while !h.halted() {
-            h.store(0x300 + h.core_id() as u64 * 64, n);
+            h.store(0x300 + h.core_id() as u64 * 64, n).await;
             n += 1;
         }
         n
@@ -106,17 +114,17 @@ fn budget_halts_all_workers_eventually() {
 #[test]
 fn budget_expiry_is_reported_and_preserves_every_result() {
     let mut sys = SystemBuilder::new().cores(2).build();
-    let worker = |h: CoreHandle| {
+    let worker = |h: CoreHandle| async move {
         let mut n = 0u64;
         while !h.halted() {
-            h.fetch_add(0x500, 1);
-            h.work(20);
+            h.fetch_add(0x500, 1).await;
+            h.work(20).await;
             n += 1;
         }
         // Post-halt work still executes: the run drains past the deadline.
-        h.store(0x600 + h.core_id() as u64 * 64, n);
-        h.flush(0x600 + h.core_id() as u64 * 64);
-        h.fence();
+        h.store(0x600 + h.core_id() as u64 * 64, n).await;
+        h.flush(0x600 + h.core_id() as u64 * 64).await;
+        h.fence().await;
         n
     };
     let report = sys.run(Threads::new(vec![worker, worker]).budget(4_000));
@@ -136,9 +144,13 @@ fn budget_expiry_is_reported_and_preserves_every_result() {
     // Control: a budget that never expires reports `budget_expired: false`,
     // as does a budget-less run.
     let mut sys = SystemBuilder::new().cores(1).build();
-    let report = sys.run(Threads::new(vec![|h: CoreHandle| h.load(0x500)]).budget(u64::MAX / 2));
+    let report = sys.run(
+        Threads::new(vec![|h: CoreHandle| async move { h.load(0x500).await }]).budget(u64::MAX / 2),
+    );
     assert!(!report.budget_expired);
-    let report = sys.run(Threads::new(vec![|h: CoreHandle| h.load(0x500)]));
+    let report = sys.run(Threads::new(vec![|h: CoreHandle| async move {
+        h.load(0x500).await
+    }]));
     assert!(!report.budget_expired);
 }
 
@@ -147,12 +159,14 @@ fn worker_results_are_deterministic_across_runs() {
     let run = || {
         let mut sys = SystemBuilder::new().cores(2).build();
         let worker = |seed: u64| {
-            move |h: CoreHandle| {
+            move |h: CoreHandle| async move {
                 let mut acc = 0u64;
                 for i in 0..40 {
                     let addr = 0x400 + ((seed * 31 + i) % 8) * 64;
-                    h.fetch_add(addr, 1);
-                    acc = acc.wrapping_add(h.load(addr)).wrapping_add(h.rdcycle());
+                    h.fetch_add(addr, 1).await;
+                    acc = acc
+                        .wrapping_add(h.load(addr).await)
+                        .wrapping_add(h.rdcycle());
                 }
                 acc
             }
@@ -162,7 +176,7 @@ fn worker_results_are_deterministic_across_runs() {
             .into_parts();
         (cycles, v)
     };
-    assert_eq!(run(), run(), "rendezvous scheduling must be deterministic");
+    assert_eq!(run(), run(), "thread-mode scheduling must be deterministic");
 }
 
 #[test]
@@ -170,9 +184,8 @@ fn handles_expose_core_ids_in_order() {
     let mut sys = SystemBuilder::new().cores(3).build();
     let (_, ids) = sys
         .run(Threads::new(vec![
-            |h: CoreHandle| h.core_id(),
-            |h: CoreHandle| h.core_id(),
-            |h: CoreHandle| h.core_id(),
+            |h: CoreHandle| async move { h.core_id() };
+            3
         ]))
         .into_parts();
     assert_eq!(ids, vec![0, 1, 2]);
