@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo CI gate: formatting, release build, the test suite of every
-# workspace member, clippy with warnings denied on every target (tests,
-# benches and examples included), rustdoc with warnings denied.
+# workspace member (the cache and engine crates also in release), clippy
+# with warnings denied on every target (tests, benches and examples
+# included), rustdoc with warnings denied.
 # Run from the repository root. Offline by design (deps are vendored).
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -16,6 +17,10 @@ FIRST_PARTY=(-p skipit -p skipit-core -p skipit-boom -p skipit-dcache -p skipit-
 cargo fmt --check "${FIRST_PARTY[@]}"
 cargo build --release
 cargo test --workspace -q
+# The cache and engine crates again in release: the benchmarked code, with
+# debug assertions compiled out and over-wide shifts masked instead of
+# trapped, must pass the same tests.
+cargo test --release -q -p skipit-llc -p skipit-dcache -p skipit-boom
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${FIRST_PARTY[@]}"
 

@@ -2010,12 +2010,11 @@ impl System {
     /// first cycle whose state — components, links, statistics, frontends,
     /// everything but the clock — differs from the window start.
     fn verify_window(&mut self, target: u64, workers: &mut [Worker<'_>]) {
-        let reference = self.state_digest();
+        let reference = self.state_bytes();
         while self.now < target {
             self.tick_full(workers);
-            assert_eq!(
-                self.state_digest(),
-                reference,
+            assert!(
+                self.state_bytes() == reference,
                 "lockstep oracle: state changed at cycle {} inside a window \
                  the fast engine claimed idle (next event {})",
                 self.now - 1,
@@ -2024,15 +2023,25 @@ impl System {
         }
     }
 
-    /// Hash of every piece of simulated state except the clock, used by the
-    /// lockstep oracle to detect work inside a claimed-idle window and by
-    /// engine-equivalence tests to compare whole machines. Debug
-    /// formatting covers the deep state (queues, arrays, MSHRs, stats);
-    /// frontends are summarized by hand (their issue position and timers;
-    /// a thread-mode worker's future is host state).
+    /// Hash of every piece of simulated state except the clock, used by
+    /// engine-equivalence tests to compare whole machines (the bytes it
+    /// hashes are what the lockstep oracle compares inside a claimed-idle
+    /// window).
     pub fn state_digest(&self) -> u64 {
-        use std::fmt::Write as _;
         use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.state_bytes().hash(&mut h);
+        h.finish()
+    }
+
+    /// Every piece of simulated state except the clock, as bytes. The
+    /// snapshot codec (DESIGN.md §11) covers the deep state (queues,
+    /// arrays, MSHRs, stats) and collapses never-touched cache ways to a
+    /// flag byte, so the cost follows the touched state rather than the
+    /// full arrays; frontends are summarized by hand (their issue position
+    /// and timers; a thread-mode worker's future is host state).
+    fn state_bytes(&self) -> Vec<u8> {
+        use std::fmt::Write as _;
         let mut s = String::new();
         for (i, fe) in self.frontends.iter().enumerate() {
             match fe {
@@ -2062,19 +2071,11 @@ impl System {
                 }
             }
         }
-        let _ = write!(
-            s,
-            "{:?}{:?}{:?}{:?}{}",
-            self.lsus, self.l1s, self.l2, self.dram, self.next_token
-        );
-        let _ = write!(
-            s,
-            "{:?}{:?}{:?}{:?}{:?}",
-            self.a, self.b, self.c, self.d, self.e
-        );
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
+        let mut w = SnapWriter::new();
+        s.encode(&mut w);
+        self.next_token.encode(&mut w);
+        self.encode_components(&mut w);
+        w.into_bytes()
     }
 
     /// Conservative lower bound on the earliest cycle at which any component
@@ -2838,22 +2839,27 @@ impl System {
         for fe in &self.frontends {
             fe.encode(&mut w)?;
         }
+        self.encode_components(&mut w);
+        Ok(Snapshot::from_writer(w))
+    }
+
+    /// Encodes the hardware: LSUs, L1s, L2, DRAM and every link.
+    fn encode_components(&self, w: &mut SnapWriter) {
         for lsu in &self.lsus {
-            lsu.encode_state(&mut w);
+            lsu.encode_state(w);
         }
         for l1 in &self.l1s {
-            l1.encode_state(&mut w);
+            l1.encode_state(w);
         }
-        self.l2.encode_state(&mut w);
-        self.dram.encode_state(&mut w);
+        self.l2.encode_state(w);
+        self.dram.encode_state(w);
         for i in 0..self.cfg.cores {
-            self.a[i].encode_state(&mut w);
-            self.b[i].encode_state(&mut w);
-            self.c[i].encode_state(&mut w);
-            self.d[i].encode_state(&mut w);
-            self.e[i].encode_state(&mut w);
+            self.a[i].encode_state(w);
+            self.b[i].encode_state(w);
+            self.c[i].encode_state(w);
+            self.d[i].encode_state(w);
+            self.e[i].encode_state(w);
         }
-        Ok(Snapshot::from_writer(w))
     }
 
     /// Rebuilds a live system from `snap` under `cfg`. The restored system

@@ -33,6 +33,16 @@ pub enum ConfigError {
         /// Which field (e.g. `"l1.fshrs"`).
         what: &'static str,
     },
+    /// A request file is larger than the live-slot mask that tracks it
+    /// ([`skipit_tilelink::SlotMask::MAX_SLOTS`] slots).
+    TooMany {
+        /// Which field (e.g. `"l2.mshrs"`).
+        what: &'static str,
+        /// The largest supported size.
+        max: usize,
+        /// The rejected size.
+        got: usize,
+    },
     /// `lockstep_oracle` was requested together with [`EngineKind::Naive`]:
     /// the oracle re-executes fast-forward jumps with the naive engine, so
     /// there is nothing for it to check — the combination is always a
@@ -50,6 +60,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{what} must be a power of two, got {got}")
             }
             ConfigError::Zero { what } => write!(f, "{what} must be nonzero"),
+            ConfigError::TooMany { what, max, got } => {
+                write!(f, "{what} must be at most {max}, got {got}")
+            }
             ConfigError::OracleNeedsFastEngine => write!(
                 f,
                 "lockstep_oracle requires a fast engine (GlobalGate or \
@@ -89,6 +102,16 @@ fn validate(cfg: &SystemConfig) -> Result<(), ConfigError> {
     ] {
         if got == 0 {
             return Err(ConfigError::Zero { what });
+        }
+    }
+    let max = skipit_tilelink::SlotMask::MAX_SLOTS;
+    for (what, got) in [
+        ("l1.mshrs", cfg.l1.mshrs),
+        ("l1.fshrs", cfg.l1.fshrs),
+        ("l2.mshrs", cfg.l2.mshrs),
+    ] {
+        if got > max {
+            return Err(ConfigError::TooMany { what, max, got });
         }
     }
     if cfg.lockstep_oracle && cfg.engine == EngineKind::Naive {
@@ -344,6 +367,18 @@ mod tests {
         assert_eq!(
             SystemBuilder::new().l1(l1).try_build().unwrap_err(),
             ConfigError::Zero { what: "l1.fshrs" }
+        );
+        let l2 = L2Config {
+            mshrs: 65,
+            ..L2Config::default()
+        };
+        assert_eq!(
+            SystemBuilder::new().l2(l2).try_build().unwrap_err(),
+            ConfigError::TooMany {
+                what: "l2.mshrs",
+                max: 64,
+                got: 65
+            }
         );
         assert_eq!(
             SystemBuilder::new()

@@ -21,7 +21,7 @@ use crate::req::{AmoOp, DcReq, DcReqKind, DcResp, ReqOutcome};
 use crate::stats::L1Stats;
 use skipit_tilelink::{
     AgentId, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, ClientState, GrantFlavor, Grow,
-    LineAddr, LineData, Link, Shrink,
+    LineAddr, LineData, Link, Shrink, SlotMask,
 };
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -147,6 +147,9 @@ pub struct DataCache {
     core: AgentId,
     arrays: CacheArrays,
     mshrs: Vec<Mshr>,
+    /// The MSHRs not in `Free`; every per-cycle MSHR walk (stepping, the
+    /// event bound, same-line lookups, the free-slot pick) goes through it.
+    live: SlotMask,
     wbu: Wbu,
     probe: ProbePhase,
     flush: FlushUnit,
@@ -177,6 +180,7 @@ impl DataCache {
             core,
             arrays: CacheArrays::new(&cfg),
             mshrs: (0..cfg.mshrs).map(|_| Mshr::default()).collect(),
+            live: SlotMask::default(),
             wbu: Wbu::default(),
             probe: ProbePhase::Idle,
             flush: FlushUnit::new(cfg.flush_queue_depth, cfg.fshrs),
@@ -257,10 +261,7 @@ impl DataCache {
 
     /// MSHRs currently mid-transaction (telemetry gauge).
     pub fn mshr_occupancy(&self) -> usize {
-        self.mshrs
-            .iter()
-            .filter(|m| m.state != MshrState::Free)
-            .count()
+        self.live.len()
     }
 
     /// FSHRs currently executing a writeback (telemetry gauge).
@@ -280,7 +281,7 @@ impl DataCache {
 
     /// Whether the cache has no in-flight work (tests / quiesce detection).
     pub fn is_quiescent(&self) -> bool {
-        self.mshrs.iter().all(|m| m.state == MshrState::Free)
+        self.live.is_empty()
             && self.wbu.ready()
             && matches!(self.probe, ProbePhase::Idle)
             && !self.flush.is_flushing()
@@ -356,7 +357,7 @@ impl DataCache {
         let probe_rdy = matches!(self.probe, ProbePhase::Idle);
         let wb_rdy = self.wbu.ready();
         let flush_rdy = self.flush.flush_rdy();
-        for m in &self.mshrs {
+        for m in self.live_mshrs() {
             match m.state {
                 MshrState::Free | MshrState::WaitGrant => {}
                 MshrState::EvictWait => {
@@ -389,11 +390,7 @@ impl DataCache {
                 // Mirrors the step_probe downgrade gate; every blocking
                 // input is evented on its own (FSHRs above, WBU via channel
                 // D, replaying MSHRs above, channel C via the L2 drain).
-                let mshr_busy = self.mshrs.iter().any(|m| {
-                    m.active_on(*addr)
-                        && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
-                });
-                if flush_rdy && wb_rdy && !mshr_busy && c_rdy {
+                if flush_rdy && wb_rdy && !self.mshr_replaying(*addr) && c_rdy {
                     return Some(now);
                 }
             }
@@ -418,6 +415,24 @@ impl DataCache {
         self.resp.push_back((ready, resp));
     }
 
+    /// The MSHRs not in `Free`, in slot order.
+    fn live_mshrs(&self) -> impl Iterator<Item = &Mshr> + '_ {
+        self.live.iter().map(|i| &self.mshrs[i])
+    }
+
+    /// The slot of the MSHR active on `line`, if any.
+    fn mshr_for(&self, line: LineAddr) -> Option<usize> {
+        self.live.iter().find(|&i| self.mshrs[i].active_on(line))
+    }
+
+    /// Whether an MSHR on `addr` is replaying or about to retire — the
+    /// probe unit's downgrade waits for it (§5.4.1).
+    fn mshr_replaying(&self, addr: LineAddr) -> bool {
+        self.live_mshrs().any(|m| {
+            m.active_on(addr) && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
+        })
+    }
+
     /// Whether [`DataCache::try_request`] would accept `kind` this cycle — a
     /// pure mirror of every nack condition in the handlers below. The LSU
     /// holds a request at its queue head while this is false instead of
@@ -428,7 +443,7 @@ impl DataCache {
         match kind {
             DcReqKind::Writeback { addr, kind } => {
                 let line = LineAddr::containing(addr);
-                if self.mshrs.iter().any(|m| m.active_on(line)) {
+                if self.mshr_for(line).is_some() {
                     return false;
                 }
                 let (hit, dirty, skip) = match self.arrays.lookup(line) {
@@ -446,11 +461,7 @@ impl DataCache {
             }
             DcReqKind::Load { addr } => {
                 let line = LineAddr::containing(addr);
-                if self
-                    .mshrs
-                    .iter()
-                    .any(|m| m.active_on(line) && m.write && m.state != MshrState::SendGrantAck)
-                {
+                if self.write_mshr_orders_line(line) {
                     return self.can_miss_enqueue(line, false);
                 }
                 if let Some(way) = self.arrays.lookup(line) {
@@ -488,10 +499,11 @@ impl DataCache {
 
     /// Pure mirror of [`DataCache::miss_enqueue`]'s accept conditions.
     fn can_miss_enqueue(&self, line: LineAddr, write: bool) -> bool {
-        if let Some(m) = self.mshrs.iter().find(|m| m.active_on(line)) {
+        if let Some(i) = self.mshr_for(line) {
+            let m = &self.mshrs[i];
             return (!write || m.write) && m.rpq.len() < self.cfg.rpq_depth;
         }
-        self.mshrs.iter().any(|m| m.state == MshrState::Free)
+        !self.live.is_full(self.mshrs.len())
             && (self.arrays.lookup(line).is_some() || self.arrays.victim_way(line).is_some())
     }
 
@@ -522,7 +534,7 @@ impl DataCache {
         let line = LineAddr::containing(addr);
         // See module docs: metadata snapshots cannot be kept consistent
         // across an in-flight MSHR refill for the same line.
-        if self.mshrs.iter().any(|m| m.active_on(line)) {
+        if self.mshr_for(line).is_some() {
             self.stats.nacks += 1;
             return ReqOutcome::Nack;
         }
@@ -613,11 +625,7 @@ impl DataCache {
         // still readable, stale Shared) array copy: the load must order
         // behind it through the replay queue (§3.3's stronger-than-RVWMO
         // same-line ordering).
-        if self
-            .mshrs
-            .iter()
-            .any(|m| m.active_on(line) && m.write && m.state != MshrState::SendGrantAck)
-        {
+        if self.write_mshr_orders_line(line) {
             return self.miss_enqueue(now, req, line, false);
         }
         if let Some(way) = self.arrays.lookup(line) {
@@ -669,9 +677,15 @@ impl DataCache {
     /// through its replay queue, or a retried young op could slip ahead of
     /// an older buffered one.
     fn mshr_orders_line(&self, line: LineAddr) -> bool {
-        self.mshrs
-            .iter()
+        self.live_mshrs()
             .any(|m| m.active_on(line) && m.state != MshrState::SendGrantAck)
+    }
+
+    /// [`Self::mshr_orders_line`] restricted to MSHRs fetching write
+    /// permission — the ones a load must order behind.
+    fn write_mshr_orders_line(&self, line: LineAddr) -> bool {
+        self.live_mshrs()
+            .any(|m| m.active_on(line) && m.write && m.state != MshrState::SendGrantAck)
     }
 
     fn handle_store(&mut self, now: u64, req: DcReq, addr: u64, value: u64) -> ReqOutcome {
@@ -812,7 +826,8 @@ impl DataCache {
     fn miss_enqueue(&mut self, now: u64, req: DcReq, line: LineAddr, write: bool) -> ReqOutcome {
         // Secondary request (§3.3): permissions required must not exceed the
         // primary's.
-        if let Some(m) = self.mshrs.iter_mut().find(|m| m.active_on(line)) {
+        if let Some(i) = self.mshr_for(line) {
+            let m = &mut self.mshrs[i];
             if write && !m.write {
                 // "if the MSHR was allocated as a result of a load, it is
                 // unable to accept a store as a secondary request" (§3.3).
@@ -828,7 +843,7 @@ impl DataCache {
             return ReqOutcome::Accepted;
         }
         // Primary allocation.
-        let Some(slot) = self.mshrs.iter().position(|m| m.state == MshrState::Free) else {
+        let Some(slot) = self.live.first_free_from(self.mshrs.len(), 0) else {
             self.stats.nacks += 1;
             return ReqOutcome::Nack;
         };
@@ -861,6 +876,7 @@ impl DataCache {
         } else {
             MshrState::SendAcquire
         };
+        self.live.insert(slot);
         self.stats.mshr_allocs += 1;
         skipit_trace::trace!(
             self.sink,
@@ -887,6 +903,12 @@ impl DataCache {
         self.flush.try_allocate(now, self.core, probe_rdy, wb_rdy);
         self.flush
             .step_fshrs(now, self.core, &mut self.arrays, ports.c, &mut self.stats);
+        debug_assert_eq!(
+            self.live,
+            SlotMask::from_fn(self.mshrs.len(), |i| self.mshrs[i].state != MshrState::Free),
+            "MSHR live mask out of step with the MSHR states"
+        );
+        self.flush.debug_assert_consistent();
     }
 
     fn drain_channel_d(&mut self, now: u64, ports: &mut L1Ports<'_>) {
@@ -899,13 +921,12 @@ impl DataCache {
                     flavor,
                     ..
                 } => {
-                    let Some(m) = self
-                        .mshrs
-                        .iter_mut()
-                        .find(|m| m.state == MshrState::WaitGrant && m.addr == addr)
-                    else {
+                    let Some(i) = self.live.iter().find(|&i| {
+                        self.mshrs[i].state == MshrState::WaitGrant && self.mshrs[i].addr == addr
+                    }) else {
                         panic!("Grant for {addr:?} without a waiting MSHR");
                     };
+                    let m = &mut self.mshrs[i];
                     let way = m.way;
                     m.state = MshrState::Replay;
                     let state = if is_trunk {
@@ -955,7 +976,9 @@ impl DataCache {
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L1Ports<'_>) {
-        for i in 0..self.mshrs.len() {
+        // Stepping allocates no MSHR and an MSHR only frees its own slot, so
+        // the mask read up front is the live set the full sweep would see.
+        for i in self.live.iter() {
             match self.mshrs[i].state {
                 MshrState::Free | MshrState::WaitGrant => {}
                 MshrState::EvictWait => {
@@ -1075,6 +1098,7 @@ impl DataCache {
                             }
                         );
                         self.mshrs[i] = Mshr::default();
+                        self.live.remove(i);
                     }
                 }
             }
@@ -1175,11 +1199,10 @@ impl DataCache {
                 // Held while an FSHR is mid-flight (flush_rdy), the WBU is
                 // busy (wb_rdy), an MSHR is replaying this line, or the C
                 // channel is full.
-                let mshr_busy = self.mshrs.iter().any(|m| {
-                    m.active_on(addr)
-                        && matches!(m.state, MshrState::Replay | MshrState::SendGrantAck)
-                });
-                if !self.flush.flush_rdy() || !self.wbu.ready() || mshr_busy || !ports.c.can_push()
+                if !self.flush.flush_rdy()
+                    || !self.wbu.ready()
+                    || self.mshr_replaying(addr)
+                    || !ports.c.can_push()
                 {
                     self.probe = ProbePhase::Waiting(p);
                     return;
@@ -1378,6 +1401,7 @@ impl DataCache {
         for m in &mut self.mshrs {
             *m = Mshr::decode(r)?;
         }
+        self.live = SlotMask::from_fn(n, |i| self.mshrs[i].state != MshrState::Free);
         self.wbu.job = Option::decode(r)?;
         self.probe = ProbePhase::decode(r)?;
         self.flush.decode_state(r)?;

@@ -57,7 +57,8 @@ impl L1Config {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or `sets` is not a power of two.
+    /// Panics if any field is zero, `sets` is not a power of two, or
+    /// `mshrs`/`fshrs` exceed the 64 slots a live mask tracks.
     pub fn validate(&self) {
         assert!(self.sets.is_power_of_two(), "sets must be a power of two");
         assert!(self.ways > 0, "ways must be nonzero");
@@ -68,6 +69,9 @@ impl L1Config {
             "flush_queue_depth must be nonzero"
         );
         assert!(self.fshrs > 0, "fshrs must be nonzero");
+        let max = skipit_tilelink::SlotMask::MAX_SLOTS;
+        assert!(self.mshrs <= max, "at most {max} mshrs supported");
+        assert!(self.fshrs <= max, "at most {max} fshrs supported");
     }
 }
 

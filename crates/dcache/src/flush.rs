@@ -16,7 +16,8 @@
 use crate::meta::CacheArrays;
 use crate::stats::L1Stats;
 use skipit_tilelink::{
-    AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, WritebackKind,
+    AgentId, Cap, ChannelC, ClientState, LineAddr, LineData, Link, PerturbConfig, SlotMask,
+    WritebackKind,
 };
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -120,9 +121,12 @@ pub struct FlushUnit {
     queue: VecDeque<FlushEntry>,
     depth: usize,
     fshrs: Vec<Fshr>,
+    /// The FSHRs not in `Free`; every per-cycle FSHR walk goes through it.
+    live: SlotMask,
     /// Round-robin allocation pointer (§5.2).
     next_fshr: usize,
-    /// The flush counter (§5.2): pending requests in the queue or in FSHRs.
+    /// The flush counter (§5.2): pending requests in the queue or in FSHRs,
+    /// so always `queue.len() + live.len()`.
     counter: u64,
     /// Event sink for FSHR FSM transitions and ack-time skip-bit updates.
     sink: Option<TraceSink>,
@@ -144,11 +148,21 @@ pub struct FlushUnit {
 
 impl FlushUnit {
     /// Creates a flush unit with the given queue depth and FSHR count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fshrs` exceeds [`SlotMask::MAX_SLOTS`].
     pub fn new(depth: usize, fshrs: usize) -> Self {
+        assert!(
+            fshrs <= SlotMask::MAX_SLOTS,
+            "at most {} FSHRs supported",
+            SlotMask::MAX_SLOTS
+        );
         FlushUnit {
             queue: VecDeque::with_capacity(depth),
             depth,
             fshrs: vec![Fshr::default(); fshrs],
+            live: SlotMask::default(),
             next_fshr: 0,
             counter: 0,
             sink: None,
@@ -200,9 +214,12 @@ impl FlushUnit {
     /// allocation and reaching `root_release_ack`. Probes and MSHR evictions
     /// are held while low.
     pub fn flush_rdy(&self) -> bool {
-        self.fshrs
-            .iter()
-            .all(|f| matches!(f.state, FshrState::Free | FshrState::WaitAck))
+        self.live_fshrs().all(|f| f.state == FshrState::WaitAck)
+    }
+
+    /// The FSHRs not in `Free`, in slot order.
+    fn live_fshrs(&self) -> impl Iterator<Item = &Fshr> + '_ {
+        self.live.iter().map(|i| &self.fshrs[i])
     }
 
     /// Whether the queue has no free slot.
@@ -217,10 +234,7 @@ impl FlushUnit {
 
     /// FSHRs currently executing a writeback (telemetry gauge).
     pub fn fshr_occupancy(&self) -> usize {
-        self.fshrs
-            .iter()
-            .filter(|f| f.state != FshrState::Free)
-            .count()
+        self.live.len()
     }
 
     /// Whether a request to `addr` is pending in the queue or any FSHR.
@@ -235,7 +249,7 @@ impl FlushUnit {
 
     /// The FSHR handling `addr`, if any.
     pub fn fshr_for(&self, addr: LineAddr) -> Option<&Fshr> {
-        self.fshrs.iter().find(|f| f.active_on(addr))
+        self.live_fshrs().find(|f| f.active_on(addr))
     }
 
     /// The §5.3 store-admission test against *all* FSHRs active on `addr`:
@@ -249,13 +263,16 @@ impl FlushUnit {
     /// acks must not set the skip bit (§6.2). Clears the per-FSHR
     /// `skip_ok` eligibility flag.
     pub fn note_line_touched(&mut self, addr: LineAddr) {
-        for f in self.fshrs.iter_mut().filter(|f| f.active_on(addr)) {
-            f.skip_ok = false;
+        for i in self.live.iter() {
+            let f = &mut self.fshrs[i];
+            if f.active_on(addr) {
+                f.skip_ok = false;
+            }
         }
     }
 
     pub fn fshr_blocks_store(&self, addr: LineAddr) -> bool {
-        self.fshrs.iter().filter(|f| f.active_on(addr)).any(|f| {
+        self.live_fshrs().filter(|f| f.active_on(addr)).any(|f| {
             !(f.entry.kind == WritebackKind::Clean && (!f.entry.is_dirty || f.buffer.is_some()))
         })
     }
@@ -381,51 +398,49 @@ impl FlushUnit {
         // lets a burst of redundant writebacks each take a full round trip
         // on the baseline — the cost Skip It removes (§7.4).
         let n = self.fshrs.len();
-        for i in 0..n {
-            let idx = (self.next_fshr + i) % n;
-            if self.fshrs[idx].state == FshrState::Free {
-                // Adversarial hold-off (set_perturb): the first cycle the
-                // dispatch becomes possible anchors a drawn delay; until it
-                // elapses the dispatch loses arbitration. `has_work` keeps
-                // reporting the pending dispatch, so every engine keeps
-                // stepping the cache here and observes the same hold.
-                if let Some((site, cfg)) = self.perturb {
-                    let until = *self.hold_until.get_or_insert_with(|| {
-                        now + cfg.draw(site, self.dispatch_seq, cfg.dispatch_jitter)
-                    });
-                    if now < until {
-                        return false;
-                    }
-                    self.hold_until = None;
-                    self.dispatch_seq += 1;
-                }
-                let entry = self.queue.pop_front().expect("nonempty");
-                let state = Self::initial_state(&entry);
-                skipit_trace::trace!(
-                    self.sink,
-                    now,
-                    TraceEvent::FshrTransition {
-                        core,
-                        fshr: idx,
-                        addr: entry.addr.base(),
-                        from: FshrState::Free.name(),
-                        to: state.name(),
-                    }
-                );
-                self.fshrs[idx] = Fshr {
-                    entry,
-                    state,
-                    buffer: None,
-                    slot: None,
-                    skip_ok: true,
-                    seq: self.alloc_seq,
-                };
-                self.alloc_seq += 1;
-                self.next_fshr = (idx + 1) % n;
-                return true;
+        let Some(idx) = self.live.first_free_from(n, self.next_fshr) else {
+            return false;
+        };
+        // Adversarial hold-off (set_perturb): the first cycle the dispatch
+        // becomes possible anchors a drawn delay; until it elapses the
+        // dispatch loses arbitration. `has_work` keeps reporting the
+        // pending dispatch, so every engine keeps stepping the cache here
+        // and observes the same hold.
+        if let Some((site, cfg)) = self.perturb {
+            let until = *self.hold_until.get_or_insert_with(|| {
+                now + cfg.draw(site, self.dispatch_seq, cfg.dispatch_jitter)
+            });
+            if now < until {
+                return false;
             }
+            self.hold_until = None;
+            self.dispatch_seq += 1;
         }
-        false
+        let entry = self.queue.pop_front().expect("nonempty");
+        let state = Self::initial_state(&entry);
+        skipit_trace::trace!(
+            self.sink,
+            now,
+            TraceEvent::FshrTransition {
+                core,
+                fshr: idx,
+                addr: entry.addr.base(),
+                from: FshrState::Free.name(),
+                to: state.name(),
+            }
+        );
+        self.fshrs[idx] = Fshr {
+            entry,
+            state,
+            buffer: None,
+            slot: None,
+            skip_ok: true,
+            seq: self.alloc_seq,
+        };
+        self.live.insert(idx);
+        self.alloc_seq += 1;
+        self.next_fshr = (idx + 1) % n;
+        true
     }
 
     /// The first state after `invalid` per Fig. 7: a miss goes straight to
@@ -455,7 +470,9 @@ impl FlushUnit {
         c: &mut Link<ChannelC>,
         stats: &mut L1Stats,
     ) {
-        for i in 0..self.fshrs.len() {
+        // Stepping neither allocates nor frees an FSHR, so the mask read up
+        // front is the live set throughout.
+        for i in self.live.iter() {
             let state = self.fshrs[i].state;
             let entry = self.fshrs[i].entry;
             match state {
@@ -608,12 +625,12 @@ impl FlushUnit {
         // still queued at the L2 (an inclusion violation once a refill
         // races the deferred invalidation).
         let Some(i) = self
-            .fshrs
+            .live
             .iter()
-            .enumerate()
-            .filter(|(_, f)| f.state == FshrState::WaitAck && f.entry.addr == addr)
-            .min_by_key(|(_, f)| f.seq)
-            .map(|(i, _)| i)
+            .filter(|&i| {
+                self.fshrs[i].state == FshrState::WaitAck && self.fshrs[i].entry.addr == addr
+            })
+            .min_by_key(|&i| self.fshrs[i].seq)
         else {
             return false;
         };
@@ -631,6 +648,7 @@ impl FlushUnit {
             }
         );
         self.fshrs[i] = Fshr::default();
+        self.live.remove(i);
         debug_assert!(self.counter > 0, "flush counter underflow");
         self.counter -= 1;
         // §6.2: the skip bit asserts "this line's current data is persisted".
@@ -648,10 +666,7 @@ impl FlushUnit {
         //
         // Setting skip in either case would let a later CBO drop a
         // writeback whose data the persistence domain does not yet hold.
-        let line_still_flushing = self
-            .fshrs
-            .iter()
-            .any(|f| f.state != FshrState::Free && f.entry.addr == addr);
+        let line_still_flushing = self.live_fshrs().any(|f| f.entry.addr == addr);
         if skip_it && kind == WritebackKind::Clean && skip_ok && !line_still_flushing {
             if let Some(way) = arrays.lookup(addr) {
                 let set = arrays.set_index(addr);
@@ -680,8 +695,10 @@ impl FlushUnit {
     /// a full channel C by the L2's drain of that channel — both evented
     /// separately by the scheduler, so they contribute no work here.
     pub fn has_work(&self, probe_rdy: bool, wb_rdy: bool, c_rdy: bool) -> bool {
-        let mut free = false;
-        for f in &self.fshrs {
+        if self.counter == 0 {
+            return false;
+        }
+        for f in self.live_fshrs() {
             match f.state {
                 FshrState::MetaWrite | FshrState::FillBuffer => return true,
                 FshrState::SendReleaseData | FshrState::SendRelease => {
@@ -689,19 +706,35 @@ impl FlushUnit {
                         return true;
                     }
                 }
-                FshrState::Free => free = true,
-                FshrState::WaitAck => {}
+                FshrState::Free | FshrState::WaitAck => {}
             }
         }
-        !self.queue.is_empty() && probe_rdy && wb_rdy && free
+        !self.queue.is_empty() && probe_rdy && wb_rdy && !self.live.is_full(self.fshrs.len())
     }
 
-    /// Drops one pending unit of work without executing it (used when a
-    /// request is eliminated after enqueue — not currently reachable, kept
-    /// for the dependability tests).
+    /// The §5.3 flush counter: `CBO.X` requests buffered in the queue plus
+    /// those executing in an FSHR (coalesced and Skip-It-dropped requests
+    /// never count). It reads 0 exactly when the queue is empty and every
+    /// FSHR is `Free`, which is what lets [`FlushUnit::has_work`] and the
+    /// FSHR walks return at once on a core with no writeback pending.
     #[doc(hidden)]
     pub fn counter_value(&self) -> u64 {
         self.counter
+    }
+
+    /// Debug-build check that the live mask matches the FSHR states and the
+    /// counter matches queue plus live FSHRs.
+    pub(crate) fn debug_assert_consistent(&self) {
+        debug_assert_eq!(
+            self.live,
+            SlotMask::from_fn(self.fshrs.len(), |i| self.fshrs[i].state != FshrState::Free),
+            "FSHR live mask out of step with the FSHR states"
+        );
+        debug_assert_eq!(
+            self.counter,
+            (self.queue.len() + self.live.len()) as u64,
+            "flush counter differs from queued plus live FSHRs"
+        );
     }
 
     /// View of all FSHRs (tests and forwarding logic).
@@ -1223,6 +1256,7 @@ impl FlushUnit {
         if next_fshr >= fshrs.len().max(1) {
             return Err(SnapError::Corrupt("fshr pointer out of range"));
         }
+        self.live = SlotMask::from_fn(fshrs.len(), |i| fshrs[i].state != FshrState::Free);
         self.queue = queue;
         self.fshrs = fshrs;
         self.next_fshr = next_fshr;

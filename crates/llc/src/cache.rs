@@ -13,7 +13,7 @@ use skipit_mem::{Dram, MemReq, MemResp};
 use skipit_tilelink::perturb::L2_MSHR_SITE;
 use skipit_tilelink::{
     AgentId, Cap, ChannelA, ChannelB, ChannelC, ChannelD, ChannelE, GrantFlavor, Grow, LineAddr,
-    LineData, Link, PerturbConfig, Shrink, WritebackKind,
+    LineData, Link, PerturbConfig, Shrink, SlotMask, WritebackKind,
 };
 use skipit_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -118,9 +118,11 @@ pub struct InclusiveCache {
     cfg: L2Config,
     arrays: L2Arrays,
     mshrs: Vec<Option<L2Mshr>>,
-    /// Bitmask of occupied `mshrs` slots, so the per-cycle event scan walks
-    /// only live transactions instead of the whole (mostly empty) array.
-    occupied: u64,
+    /// The occupied `mshrs` slots. Every per-cycle walk (stepping, the
+    /// event bound, conflict checks, response routing, the free-slot pick)
+    /// goes through it, so its cost follows the live transactions rather
+    /// than the (mostly empty) array.
+    occupied: SlotMask,
     list_buffer: VecDeque<Deferred>,
     next_token: u64,
     stats: L2Stats,
@@ -151,11 +153,14 @@ impl InclusiveCache {
     pub fn new(cores: usize, cfg: L2Config) -> Self {
         cfg.validate();
         assert!((1..=32).contains(&cores), "1..=32 cores supported");
-        assert!(cfg.mshrs <= 64, "occupancy bitmask is 64 bits wide");
+        assert!(
+            cfg.mshrs <= SlotMask::MAX_SLOTS,
+            "occupancy bitmask is 64 bits wide"
+        );
         InclusiveCache {
             arrays: L2Arrays::new(&cfg),
             mshrs: vec![None; cfg.mshrs],
-            occupied: 0,
+            occupied: SlotMask::default(),
             list_buffer: VecDeque::with_capacity(cfg.list_buffer_depth),
             next_token: 0,
             stats: L2Stats::default(),
@@ -203,7 +208,7 @@ impl InclusiveCache {
 
     /// MSHRs currently live (telemetry gauge).
     pub fn mshr_occupancy(&self) -> usize {
-        self.occupied.count_ones() as usize
+        self.occupied.len()
     }
 
     /// Configuration.
@@ -213,7 +218,7 @@ impl InclusiveCache {
 
     /// Whether no transaction is in flight (tests / quiesce detection).
     pub fn is_quiescent(&self) -> bool {
-        self.mshrs.iter().all(Option::is_none) && self.list_buffer.is_empty()
+        self.occupied.is_empty() && self.list_buffer.is_empty()
     }
 
     /// Dirty bit of a resident line (`false` if absent) — test/debug helper.
@@ -239,11 +244,19 @@ impl InclusiveCache {
         self.peek_valid(addr) || self.mshr_conflict(addr)
     }
 
+    /// The MSHR in occupied slot `idx`.
+    fn live(&self, idx: usize) -> &L2Mshr {
+        self.mshrs[idx].as_ref().expect("occupied slot is live")
+    }
+
+    /// The first live MSHR, in slot order, for which `f` holds.
+    fn find_live(&self, mut f: impl FnMut(&L2Mshr) -> bool) -> Option<usize> {
+        self.occupied.iter().find(|&i| f(self.live(i)))
+    }
+
     fn mshr_conflict(&self, addr: LineAddr) -> bool {
-        self.mshrs
-            .iter()
-            .flatten()
-            .any(|m| m.addr == addr || m.victim == Some(addr))
+        self.find_live(|m| m.addr == addr || m.victim == Some(addr))
+            .is_some()
     }
 
     /// First free MSHR slot under the current scan rotation. A pure function
@@ -251,14 +264,19 @@ impl InclusiveCache {
     /// allocated), so repeated calls within a cycle — including the
     /// [`Self::can_accept_acquire`] pre-check — agree on the answer.
     fn free_mshr(&self) -> Option<usize> {
-        let n = self.mshrs.len();
         let start = match self.perturb {
-            Some(cfg) => cfg.draw(L2_MSHR_SITE, self.alloc_seq, n as u64 - 1) as usize,
+            Some(cfg) => {
+                cfg.draw(L2_MSHR_SITE, self.alloc_seq, self.mshrs.len() as u64 - 1) as usize
+            }
             None => 0,
         };
-        (0..n)
-            .map(|k| (start + k) % n)
-            .find(|&i| self.mshrs[i].is_none())
+        self.free_mshr_from(start)
+    }
+
+    /// First free slot of the scan `start, start + 1, …` wrapping at the
+    /// MSHR count.
+    fn free_mshr_from(&self, start: usize) -> Option<usize> {
+        self.occupied.first_free_from(self.mshrs.len(), start)
     }
 
     /// Whether an Acquire for `addr` arriving this cycle would be sunk into
@@ -290,11 +308,8 @@ impl InclusiveCache {
     ) -> Option<u64> {
         let mut next: Option<u64> = None;
         let mut merge = |t: u64| next = Some(next.map_or(t, |n| n.min(t)));
-        let mut occ = self.occupied;
-        while occ != 0 {
-            let idx = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            let m = self.mshrs[idx].as_ref().expect("occupied slot is live");
+        for idx in self.occupied.iter() {
+            let m = self.live(idx);
             match m.state {
                 L2MshrState::Access { until } => {
                     if until <= now {
@@ -355,22 +370,25 @@ impl InclusiveCache {
         self.drain_list_buffer(now);
         self.accept_acquires(now, ports);
         self.step_mshrs(now, ports);
+        debug_assert_eq!(
+            self.occupied,
+            SlotMask::from_fn(self.mshrs.len(), |i| self.mshrs[i].is_some()),
+            "MSHR live mask out of step with the slots"
+        );
     }
 
     fn drain_mem(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         ports.mem.step(now);
         while let Some(resp) = ports.mem.pop_response() {
             let token = resp.token();
-            let Some(idx) = self.mshrs.iter().position(|m| {
-                m.as_ref().is_some_and(|m| {
-                    m.token == token
-                        && matches!(
-                            m.state,
-                            L2MshrState::MemReadWait
-                                | L2MshrState::VictimWriteWait
-                                | L2MshrState::DramWriteWait
-                        )
-                })
+            let Some(idx) = self.find_live(|m| {
+                m.token == token
+                    && matches!(
+                        m.state,
+                        L2MshrState::MemReadWait
+                            | L2MshrState::VictimWriteWait
+                            | L2MshrState::DramWriteWait
+                    )
             }) else {
                 panic!("memory response with unknown token {token}");
             };
@@ -381,7 +399,7 @@ impl InclusiveCache {
                     self.arrays.install(m.addr, way, data);
                     self.stats.mem_fills += 1;
                     // A fresh fill has no owners to probe.
-                    self.mshrs[idx].as_mut().expect("checked").state = L2MshrState::SendResp;
+                    m.state = L2MshrState::SendResp;
                 }
                 (MemResp::WriteDone { .. }, L2MshrState::VictimWriteWait) => {
                     m.state = L2MshrState::MemRead;
@@ -408,10 +426,9 @@ impl InclusiveCache {
     fn drain_grant_acks(&mut self, now: u64, ports: &mut L2Ports<'_>) {
         for core in 0..self.cores {
             while let Some(ChannelE::GrantAck { addr, .. }) = ports.e[core].pop(now) {
-                let Some(idx) = self.mshrs.iter().position(|m| {
-                    m.as_ref()
-                        .is_some_and(|m| m.addr == addr && m.state == L2MshrState::WaitGrantAck)
-                }) else {
+                let Some(idx) =
+                    self.find_live(|m| m.addr == addr && m.state == L2MshrState::WaitGrantAck)
+                else {
                     panic!("GrantAck for {addr:?} without a waiting MSHR");
                 };
                 skipit_trace::trace!(
@@ -423,7 +440,7 @@ impl InclusiveCache {
                     }
                 );
                 self.mshrs[idx] = None;
-                self.occupied &= !(1 << idx);
+                self.occupied.remove(idx);
             }
         }
     }
@@ -560,15 +577,12 @@ impl InclusiveCache {
         }
         // Route to the waiting MSHR: probes for a line come from exactly one
         // MSHR (per-line conflict serialization).
-        let Some(m) = self
-            .mshrs
-            .iter_mut()
-            .flatten()
-            .find(|m| (m.addr == addr || m.victim == Some(addr)) && m.pending_acks > 0)
+        let Some(idx) =
+            self.find_live(|m| (m.addr == addr || m.victim == Some(addr)) && m.pending_acks > 0)
         else {
             panic!("ProbeAck for {addr:?} with no probing MSHR");
         };
-        m.pending_acks -= 1;
+        self.mshrs[idx].as_mut().expect("live").pending_acks -= 1;
     }
 
     fn handle_release(
@@ -618,7 +632,7 @@ impl InclusiveCache {
                 return;
             };
             ports.a[core].pop(now);
-            self.occupied |= 1 << slot;
+            self.occupied.insert(slot);
             self.alloc_seq += 1;
             skipit_trace::trace!(
                 self.sink,
@@ -656,7 +670,7 @@ impl InclusiveCache {
         else {
             panic!("ListBuffer held a non-RootRelease message: {msg:?}");
         };
-        self.occupied |= 1 << slot;
+        self.occupied.insert(slot);
         self.alloc_seq += 1;
         skipit_trace::trace!(
             self.sink,
@@ -684,9 +698,11 @@ impl InclusiveCache {
     }
 
     fn step_mshrs(&mut self, now: u64, ports: &mut L2Ports<'_>) {
-        for idx in 0..self.mshrs.len() {
-            let Some(m) = self.mshrs[idx] else { continue };
-            match m.state {
+        // No MSHR is allocated during this walk, and an MSHR only ever frees
+        // its own slot, so the mask read up front is the set of slots the
+        // full ascending sweep would find live.
+        for idx in self.occupied.iter() {
+            match self.live(idx).state {
                 L2MshrState::Access { until } => {
                     if now >= until {
                         self.plan(now, idx);
@@ -694,7 +710,7 @@ impl InclusiveCache {
                 }
                 L2MshrState::VictimProbe | L2MshrState::OwnerProbe => {
                     self.send_probes(now, idx, ports);
-                    let m = self.mshrs[idx].as_mut().expect("active");
+                    let m = self.live(idx);
                     if m.to_probe == 0 && m.pending_acks == 0 {
                         self.probes_complete(now, idx);
                     }
@@ -729,7 +745,8 @@ impl InclusiveCache {
                 L2MshrState::MemRead => {
                     // The victim (if any) is finished with: invalidate it so
                     // the fill can take the way.
-                    if let Some(victim) = m.victim {
+                    let m = self.mshrs[idx].as_mut().expect("active");
+                    if let Some(victim) = m.victim.take() {
                         if let Some(w) = self.arrays.lookup(victim) {
                             let set = self.arrays.set_index(victim);
                             let e = self.arrays.dir_mut(set, w);
@@ -738,12 +755,10 @@ impl InclusiveCache {
                             e.owners = 0;
                             e.trunk = None;
                         }
-                        self.mshrs[idx].as_mut().expect("active").victim = None;
                     }
                     if ports.mem.can_accept(now) {
                         let token = self.next_token;
                         self.next_token += 1;
-                        let m = self.mshrs[idx].as_mut().expect("active");
                         m.token = token;
                         m.state = L2MshrState::MemReadWait;
                         ports.mem.request(
@@ -757,29 +772,23 @@ impl InclusiveCache {
                 }
                 L2MshrState::DramWrite => {
                     if ports.mem.can_accept(now) {
+                        let m = self.mshrs[idx].as_mut().expect("active");
+                        let addr = m.addr;
                         // Resident: banked-store contents. Not resident (the
                         // eviction race): the data carried by the request.
-                        let data = match self.arrays.lookup(m.addr) {
-                            Some(w) => self.arrays.line(self.arrays.set_index(m.addr), w),
+                        let data = match self.arrays.lookup(addr) {
+                            Some(w) => self.arrays.line(self.arrays.set_index(addr), w),
                             None => match m.req {
                                 L2Req::RootRelease { data: Some(d), .. } => d,
-                                _ => panic!("DramWrite for non-resident {:?} without data", m.addr),
+                                _ => panic!("DramWrite for non-resident {addr:?} without data"),
                             },
                         };
                         let token = self.next_token;
                         self.next_token += 1;
-                        let mm = self.mshrs[idx].as_mut().expect("active");
-                        mm.token = token;
-                        mm.wrote = Some(data);
-                        mm.state = L2MshrState::DramWriteWait;
-                        ports.mem.request(
-                            now,
-                            MemReq::Write {
-                                addr: m.addr,
-                                data,
-                                token,
-                            },
-                        );
+                        m.token = token;
+                        m.wrote = Some(data);
+                        m.state = L2MshrState::DramWriteWait;
+                        ports.mem.request(now, MemReq::Write { addr, data, token });
                         self.stats.root_release_dram_writes += 1;
                     }
                 }
@@ -794,11 +803,12 @@ impl InclusiveCache {
 
     /// First directory decision after the access latency.
     fn plan(&mut self, now: u64, idx: usize) {
-        let m = self.mshrs[idx].expect("active");
+        let m = self.mshrs[idx].as_ref().expect("active");
+        let addr = m.addr;
         match m.req {
             L2Req::Acquire { source, grow } => {
-                if let Some(w) = self.arrays.lookup(m.addr) {
-                    let set = self.arrays.set_index(m.addr);
+                if let Some(w) = self.arrays.lookup(addr) {
+                    let set = self.arrays.set_index(addr);
                     self.arrays.dir_mut(set, w).reserved = true;
                     self.arrays.touch(set, w);
                     let e = *self.arrays.dir(set, w);
@@ -818,10 +828,10 @@ impl InclusiveCache {
                     mm.state = L2MshrState::OwnerProbe;
                 } else {
                     // Miss: reserve a way, evicting inclusively if needed.
-                    let Some(w) = self.arrays.victim_way(m.addr) else {
+                    let Some(w) = self.arrays.victim_way(addr) else {
                         return; // every way reserved; retry next cycle
                     };
-                    let set = self.arrays.set_index(m.addr);
+                    let set = self.arrays.set_index(addr);
                     let victim_entry = *self.arrays.dir(set, w);
                     if victim_entry.valid && self.mshr_conflict(self.arrays.addr_of(set, w)) {
                         // The candidate victim is mid-transaction in another
@@ -845,9 +855,9 @@ impl InclusiveCache {
                 }
             }
             L2Req::RootRelease { source, kind, data } => {
-                let resident = self.arrays.lookup(m.addr);
+                let resident = self.arrays.lookup(addr);
                 if let Some(w) = resident {
-                    let set = self.arrays.set_index(m.addr);
+                    let set = self.arrays.set_index(addr);
                     if let Some(d) = data {
                         // Dirty data travels with the request and is written
                         // to the BankedStore (§5.5).
@@ -895,9 +905,7 @@ impl InclusiveCache {
                     skipit_trace::trace!(
                         self.sink,
                         now,
-                        TraceEvent::DramWriteSkipped {
-                            addr: m.addr.base()
-                        }
+                        TraceEvent::DramWriteSkipped { addr: addr.base() }
                     );
                     self.mshrs[idx].as_mut().expect("active").state = L2MshrState::SendResp;
                 }
@@ -931,7 +939,8 @@ impl InclusiveCache {
 
     /// All probes for the current phase acknowledged.
     fn probes_complete(&mut self, now: u64, idx: usize) {
-        let m = self.mshrs[idx].expect("active");
+        let m = self.mshrs[idx].as_ref().expect("active");
+        let addr = m.addr;
         match m.state {
             L2MshrState::VictimProbe => {
                 let victim = m.victim.expect("victim set");
@@ -952,8 +961,8 @@ impl InclusiveCache {
                 match mm.req {
                     L2Req::Acquire { .. } => mm.state = L2MshrState::SendResp,
                     L2Req::RootRelease { kind, .. } => {
-                        let set = self.arrays.set_index(m.addr);
-                        let w = self.arrays.lookup(m.addr).expect("resident");
+                        let set = self.arrays.set_index(addr);
+                        let w = self.arrays.lookup(addr).expect("resident");
                         let dirty = self.arrays.dir(set, w).dirty;
                         // "The last level cache already catches and
                         // eliminates unnecessary writebacks by trivially
@@ -967,9 +976,7 @@ impl InclusiveCache {
                                 skipit_trace::trace!(
                                     self.sink,
                                     now,
-                                    TraceEvent::DramWriteSkipped {
-                                        addr: m.addr.base()
-                                    }
+                                    TraceEvent::DramWriteSkipped { addr: addr.base() }
                                 );
                             }
                             mm.state = L2MshrState::SendResp;
@@ -982,14 +989,15 @@ impl InclusiveCache {
     }
 
     fn send_response(&mut self, now: u64, idx: usize, ports: &mut L2Ports<'_>) {
-        let m = self.mshrs[idx].expect("active");
+        let m = self.mshrs[idx].as_ref().expect("active");
+        let (addr, way) = (m.addr, m.way);
         match m.req {
             L2Req::Acquire { source, grow } => {
                 if !ports.d[source].can_push() {
                     return;
                 }
-                let set = self.arrays.set_index(m.addr);
-                let w = m.way.expect("way reserved");
+                let set = self.arrays.set_index(addr);
+                let w = way.expect("way reserved");
                 let e = *self.arrays.dir(set, w);
                 let others = e.owners & !(1 << source);
                 // Grant Trunk for writes, and opportunistically for sole
@@ -1004,7 +1012,7 @@ impl InclusiveCache {
                     now,
                     ChannelD::Grant {
                         target: source,
-                        addr: m.addr,
+                        addr,
                         is_trunk,
                         data: self.arrays.line(set, w),
                         flavor,
@@ -1034,8 +1042,8 @@ impl InclusiveCache {
                 // until its own writeback; the invalidation is then its
                 // job).
                 if kind.invalidates() {
-                    if let Some(w) = self.arrays.lookup(m.addr) {
-                        let set = self.arrays.set_index(m.addr);
+                    if let Some(w) = self.arrays.lookup(addr) {
+                        let set = self.arrays.set_index(addr);
                         let keep_dirty = kind.writes_back() && self.arrays.dir(set, w).dirty;
                         if !keep_dirty {
                             let e = self.arrays.dir_mut(set, w);
@@ -1050,7 +1058,7 @@ impl InclusiveCache {
                     now,
                     ChannelD::ReleaseAck {
                         target: source,
-                        addr: m.addr,
+                        addr,
                         root: true,
                     },
                 );
@@ -1064,11 +1072,11 @@ impl InclusiveCache {
                     now,
                     TraceEvent::L2MshrFree {
                         slot: idx,
-                        addr: m.addr.base(),
+                        addr: addr.base(),
                     }
                 );
                 self.mshrs[idx] = None;
-                self.occupied &= !(1 << idx);
+                self.occupied.remove(idx);
             }
         }
     }
@@ -1217,14 +1225,10 @@ impl InclusiveCache {
         if n != self.mshrs.len() {
             return Err(SnapError::ConfigMismatch);
         }
-        let mut occupied = 0u64;
-        for (i, slot) in self.mshrs.iter_mut().enumerate() {
+        for slot in &mut self.mshrs {
             *slot = Option::decode(r)?;
-            if slot.is_some() {
-                occupied |= 1 << i;
-            }
         }
-        self.occupied = occupied;
+        self.occupied = SlotMask::from_fn(n, |i| self.mshrs[i].is_some());
         self.list_buffer = VecDeque::decode(r)?;
         self.next_token = u64::decode(r)?;
         self.stats = L2Stats::decode(r)?;
@@ -1370,6 +1374,79 @@ mod tests {
         let mut d = LineData::zeroed();
         d.set_word(0, seed);
         d
+    }
+
+    /// The mask-based free-MSHR pick equals the slot scan it replaced — the
+    /// first empty slot of `(start + k) % n` for `k = 0..n` — for every
+    /// rotation start, on empty, full, single-hole, single-live and random
+    /// occupancies, at the default MSHR count and at a smaller one.
+    #[test]
+    fn free_mshr_pick_matches_rotating_slot_scan() {
+        let dummy = L2Mshr {
+            addr: line(1),
+            req: L2Req::Acquire {
+                source: 0,
+                grow: Grow::NtoB,
+            },
+            state: L2MshrState::WaitGrantAck,
+            pending_acks: 0,
+            to_probe: 0,
+            probe_cap: Cap::ToN,
+            way: None,
+            victim: None,
+            token: u64::MAX,
+            wrote: None,
+        };
+        for n in [L2Config::default().mshrs, 5] {
+            let mut l2 = InclusiveCache::new(
+                1,
+                L2Config {
+                    mshrs: n,
+                    ..L2Config::default()
+                },
+            );
+            let mut patterns = vec![vec![false; n], vec![true; n]];
+            for i in 0..n {
+                let mut hole = vec![true; n];
+                hole[i] = false;
+                patterns.push(hole);
+                let mut single = vec![false; n];
+                single[i] = true;
+                patterns.push(single);
+            }
+            // Random occupancies at densities from 1/8 to 7/8 (xorshift).
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            for density in 1..8u64 {
+                for _ in 0..64 {
+                    patterns.push(
+                        (0..n)
+                            .map(|_| {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                x % 8 < density
+                            })
+                            .collect(),
+                    );
+                }
+            }
+            for live in &patterns {
+                for (slot, &l) in l2.mshrs.iter_mut().zip(live) {
+                    *slot = l.then_some(dummy);
+                }
+                l2.occupied = SlotMask::from_fn(n, |i| live[i]);
+                for start in 0..n {
+                    let scan = (0..n)
+                        .map(|k| (start + k) % n)
+                        .find(|&i| l2.mshrs[i].is_none());
+                    assert_eq!(
+                        l2.free_mshr_from(start),
+                        scan,
+                        "n={n} start={start} live={live:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,9 +126,8 @@ pub struct Dram {
 impl std::fmt::Debug for Dram {
     /// Deterministic rendering: `lines` is a `HashMap`, whose derived Debug
     /// order varies per instance, but two `Dram`s holding the same state
-    /// must format identically — `System::state_digest` compares the Debug
-    /// text of independently built systems (engine equivalence, perturbation
-    /// inertness). Lines are therefore printed in address order.
+    /// must format identically. Lines are therefore printed in address
+    /// order.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut lines: Vec<(&u64, &LineData)> = self.lines.iter().collect();
         lines.sort_by_key(|&(addr, _)| *addr);

@@ -203,13 +203,19 @@ fn builder(cfg: &WorkloadCfg) -> SystemBuilder {
 /// Builds the system + structure for `cfg` (shared by benchmarks and
 /// tests). Returns the system, the structure and its allocator.
 fn build(cfg: &WorkloadCfg) -> (System, AnySet, Arc<SimAlloc>) {
+    build_with(cfg, builder(cfg))
+}
+
+/// [`build`] on a system from `platform` — `builder(cfg)` with extra
+/// host-side settings (e.g. the lockstep oracle in tests).
+fn build_with(cfg: &WorkloadCfg, platform: SystemBuilder) -> (System, AnySet, Arc<SimAlloc>) {
     assert!(
         cfg.opt.applicable_to(cfg.ds),
         "{:?} is not applicable to {:?} (§7.4)",
         cfg.opt,
         cfg.ds
     );
-    let mut sys = builder(cfg).build();
+    let mut sys = platform.build();
     let stride = stride_of(cfg);
     let alloc = Arc::new(SimAlloc::new(HEAP_BASE, HEAP_SIZE, stride));
     let ds = {
@@ -524,6 +530,38 @@ mod tests {
         assert_eq!(cold.ops, naive.ops);
         assert_eq!(cold.cycles, naive.cycles);
         assert_eq!(cold.stats, naive.stats);
+    }
+
+    /// The lockstep oracle over a reduced `pds_hash_2t` benchmark shape
+    /// (hash table, NvTraverse, Skip It, two threads): the default engine,
+    /// re-checked every cycle it skips during fill and measured phase,
+    /// must skip no due slot and match the naive engine exactly.
+    #[test]
+    fn hash_skipit_phase_passes_the_lockstep_oracle() {
+        let cfg = WorkloadCfg {
+            ds: DsKind::Hash,
+            mode: PersistMode::NvTraverse,
+            opt: OptKind::SkipIt,
+            threads: 2,
+            key_range: 128,
+            prefill: 48,
+            update_pct: 20,
+            budget_cycles: 10_000,
+            seed: 3,
+            hash_buckets: 32,
+            engine: EngineKind::default(),
+        };
+        let (mut sys, ds, _alloc) = build_with(&cfg, builder(&cfg).lockstep_oracle(true));
+        prefill(&mut sys, &ds, &cfg);
+        let checked = measure(&mut sys, &ds, &cfg);
+        let naive = run_set_benchmark(&WorkloadCfg {
+            engine: EngineKind::Naive,
+            ..cfg
+        });
+        assert!(checked.ops > 0, "no set ops completed");
+        assert_eq!(checked.ops, naive.ops);
+        assert_eq!(checked.cycles, naive.cycles);
+        assert_eq!(checked.stats, naive.stats);
     }
 
     #[test]

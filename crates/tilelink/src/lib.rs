@@ -39,6 +39,7 @@ pub mod link;
 pub mod msg;
 pub mod perm;
 pub mod perturb;
+pub mod slots;
 pub mod snap;
 pub mod staged;
 
@@ -49,6 +50,7 @@ pub use msg::{
 };
 pub use perm::{Cap, ClientState, Grow, Shrink};
 pub use perturb::PerturbConfig;
+pub use slots::SlotMask;
 
 /// Number of 16 B beats needed to move one full cache line over a TileLink
 /// data bus (Fig. 3: the SonicBOOM system bus is 16 B wide, so a 64 B line

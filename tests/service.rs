@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use skipit::core::PerturbConfig;
 use skipit::prelude::*;
 use skipit::service::{build_lanes, ReqKind, CACHE_BASE};
+use skipit::OptKind;
 
 /// Thread counts follow the ISSUE spec: the three serial engines plus the
 /// parallel wheel at 1, 2 and 8 host threads.
@@ -207,4 +208,46 @@ fn storm_targets_stay_in_cache_region() {
         }
     }
     assert!(storms > 0, "storm pattern generated no expirations");
+}
+
+/// The lockstep oracle over a reduced `svc_storm_2t` benchmark shape (two
+/// Poisson lanes, Zipfian keys, periodic expiration storms, Skip It): the
+/// component wheel, re-checked every cycle it skips, must skip no due slot
+/// and produce the naive engine's digest, cycles and statistics.
+#[test]
+fn expiration_storm_service_passes_the_lockstep_oracle() {
+    let cfg = ServiceCfg {
+        cores: 2,
+        requests_per_core: 24,
+        key_range: 128,
+        prefill: 48,
+        dist: KeyDist::from_skew(0.99),
+        arrivals: Arrivals::Poisson { mean_gap: 560 },
+        stress: Stress::ExpirationStorm {
+            every_cycles: 2_000,
+            lines: 16,
+        },
+        opt: OptKind::SkipIt,
+        seed: 7,
+        hash_buckets: 32,
+        ..ServiceCfg::default()
+    };
+    let run = |builder: SystemBuilder| {
+        let mut sys = builder.build();
+        let out = sys.run(ServiceWorkload::new(cfg.clone())).output;
+        (
+            out.digest,
+            out.requests,
+            out.fill_cycles,
+            out.cycles,
+            out.stats,
+        )
+    };
+    let checked = run(cfg.builder().lockstep_oracle(true));
+    let naive = run(cfg.builder().engine(EngineKind::Naive));
+    assert_eq!(checked, naive);
+    assert!(
+        checked.4.l2.root_release_dram_skipped > 0,
+        "storm flushes exercised no L2 skip"
+    );
 }
